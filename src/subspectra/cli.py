@@ -9,6 +9,7 @@ seed).  Exit codes: 0 ok, 2 config error, 3 simulation instability,
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -279,18 +280,18 @@ def cmd_simulate(cfg, out_dir, threads):
         realizations = _get(mc_cfg, "realizations", int, "mc", default=1)
         if realizations < 1:
             raise ConfigError("realizations must be >= 1")
+        run_cfg = rmt_mc.QssepConfig(
+            n_sites=_get(mc_cfg, "n_sites", int, "mc", required=True),
+            dt=_get(mc_cfg, "dt", float, "mc", default=0.1),
+            t_end=_get(mc_cfg, "t_end", float, "mc", default=5000.0),
+            t_stat=_get(mc_cfg, "t_stat", float, "mc"),
+            rates=tuple(mc_cfg.get("rates", (0.0, 1.0, 1.0, 0.0))),
+            seed=seed,
+            snapshot_stride=_get(mc_cfg, "snapshot_stride", int, "mc", default=100),
+            integrator=mc_cfg.get("integrator", "euler"))
         eigs = []
         for r in range(realizations):
-            run_cfg = rmt_mc.QssepConfig(
-                n_sites=_get(mc_cfg, "n_sites", int, "mc", required=True),
-                dt=_get(mc_cfg, "dt", float, "mc", default=0.1),
-                t_end=_get(mc_cfg, "t_end", float, "mc", default=5000.0),
-                t_stat=_get(mc_cfg, "t_stat", float, "mc"),
-                rates=tuple(mc_cfg.get("rates", (0.0, 1.0, 1.0, 0.0))),
-                seed=seed, stream=r,
-                snapshot_stride=_get(mc_cfg, "snapshot_stride", int, "mc", default=100),
-                integrator=mc_cfg.get("integrator", "euler"))
-            run = rmt_mc.qssep_run(run_cfg)
+            run = rmt_mc.qssep_run(dataclasses.replace(run_cfg, stream=r))
             for snap in run.snapshots:
                 eigs.append(rmt_mc.subblock_eigs(snap, interval))
         eigs = np.concatenate(eigs)

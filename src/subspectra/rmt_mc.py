@@ -145,73 +145,72 @@ class QssepRun:
     snapshots: list
     trace_series: np.ndarray
     stationarity_index: int
-
-
-def _tri_left(w, m):
-    """dh @ M for tridiagonal dh with upper diagonal w."""
-    out = np.zeros_like(m)
-    out[:-1, :] = w[:, None] * m[1:, :]
-    out[1:, :] += w.conj()[:, None] * m[:-1, :]
-    return out
-
-
-def _tri_right(m, w):
-    """M @ dh."""
-    out = np.zeros_like(m)
-    out[:, 1:] = m[:, :-1] * w[None, :]
-    out[:, :-1] += m[:, 1:] * w.conj()[None, :]
-    return out
+    hermiticity_drift: float  # largest |M - M^H| at a stride, before re-hermitising
 
 
 def _commutator_with_noise(w, m):
-    return _tri_left(w, m) - _tri_right(m, w)
+    """[dh, M] = dh M - M dh for tridiagonal dh with upper diagonal w."""
+    out = np.zeros_like(m)
+    out[:-1] = w[:, None] * m[1:]
+    out[1:] += w.conj()[:, None] * m[:-1]
+    out[:, 1:] -= m[:, :-1] * w
+    out[:, :-1] -= m[:, 1:] * w.conj()
+    return out
 
 
-def _bond_rotate(m, w, offset):
-    """Exact conjugation by the direct sum of 2x2 bond rotations.
+def _even_odd(n):
+    """Site order of the unitary stepper's storage: even sites, then odd ones."""
+    return np.r_[0:n:2, 1:n:2]
 
-    Bonds (offset, offset+1), (offset+2, offset+3), ... do not overlap, so
-    exp(i dh) factorizes into independent 2x2 unitaries
-    [[cos|w|, i sin|w| u], [i sin|w| conj(u), cos|w|]], u = w/|w|.
+
+def _bond_rotate(m, w, buf):
+    """M -> U M U^H in place, U = exp(i dh), for M stored in even-odd order.
+
+    Bonds (0,1), (2,3), ... and (1,2), (3,4), ... form two layers that do
+    not overlap, so U = U_1 U_0, each layer a direct sum of 2x2 unitaries
+    [[cos|w|, i sin|w| u], [i sin|w| conj(u), cos|w|]], u = w/|w|.  In
+    even-odd order each layer pairs two contiguous row blocks, which numpy
+    mixes several times faster than every-other-row slices.  Rows mix by U,
+    then columns by conj(U) as rows of the transpose in buf[0]; buf is
+    (2, N, N) scratch, so nothing of size N^2 is allocated.
     """
     n = m.shape[0]
-    k = (n - offset) // 2
-    if k == 0:
-        return
-    wb = w[offset:offset + 2 * k:2]
-    aw = np.abs(wb)
-    u = np.where(aw > 0, wb / np.where(aw > 0, aw, 1.0), 1.0)
-    c = np.cos(aw)
-    s01 = 1j * np.sin(aw) * u          # U[0,1]
-    s10 = 1j * np.sin(aw) * u.conj()   # U[1,0]
+    ne, k0, k1 = (n + 1) // 2, n // 2, (n - 1) // 2
+    aw = np.abs(w)
+    u = np.where(aw > 0, w / np.where(aw > 0, aw, 1.0), 1.0)[:, None]
+    c = np.cos(aw)[:, None]
+    s = 1j * np.sin(aw)[:, None]
+    layers = ((slice(0, k0), slice(ne, ne + k0), slice(0, None, 2)),
+              (slice(ne, ne + k1), slice(1, 1 + k1), slice(1, None, 2)))
+    mt, tmp = buf
+    for mat, s01, s10 in ((m, s * u, s * u.conj()), (mt, -s * u.conj(), -s * u)):
+        if mat is mt:  # the columns of M, mixed after its rows
+            np.copyto(mt, m.T)
+        for top, bot, bonds in layers:
+            r0, r1 = mat[top], mat[bot]
+            t0, t1 = tmp[:len(r0)], tmp[len(r0):2 * len(r0)]
+            np.multiply(r1, s01[bonds], out=t0)
+            np.multiply(r0, s10[bonds], out=t1)
+            r0 *= c[bonds]
+            r0 += t0
+            r1 *= c[bonds]
+            r1 += t1
+    np.copyto(m, mt.T)
 
-    top = slice(offset, offset + 2 * k, 2)
-    bot = slice(offset + 1, offset + 2 * k + 1, 2)
 
-    r0 = m[top, :].copy()
-    r1 = m[bot, :]
-    m[top, :] = c[:, None] * r0 + s01[:, None] * r1
-    m[bot, :] = s10[:, None] * r0 + c[:, None] * r1
+def _boundary_drive(m, ends, rows, cols, rates, dt):
+    """Add dt L[M] onto m in place, L[M] taken from the pre-step edges.
 
-    c0 = m[:, top].copy()
-    c1 = m[:, bot]
-    m[:, top] = c[None, :] * c0 - s10[None, :] * c1
-    m[:, bot] = -s01[None, :] * c0 + c[None, :] * c1
-
-
-def _boundary_drive(m, rates):
+    Injection and extraction act on the first and last site only, stored at
+    indices ends, so L[M] vanishes off those rows and columns; rows =
+    M[ends] and cols = M[:, ends] are copies taken before the step.
+    """
     alpha_1, beta_1, alpha_n, beta_n = rates
-    out = np.zeros_like(m)
-    n = m.shape[0]
-    out[0, 0] += alpha_1
-    out[n - 1, n - 1] += alpha_n
-    g1 = 0.5 * (alpha_1 + beta_1)
-    gn = 0.5 * (alpha_n + beta_n)
-    out[0, :] -= g1 * m[0, :]
-    out[:, 0] -= g1 * m[:, 0]
-    out[n - 1, :] -= gn * m[n - 1, :]
-    out[:, n - 1] -= gn * m[:, n - 1]
-    return out
+    g = -0.5 * dt * np.array([alpha_1 + beta_1, alpha_n + beta_n])
+    m[ends] += g[:, None] * rows
+    m[:, ends] += cols * g
+    m[ends[0], ends[0]] += dt * alpha_1
+    m[ends[1], ends[1]] += dt * alpha_n
 
 
 def detect_stationarity(values, window, rel_tol=0.02):
@@ -231,73 +230,72 @@ def qssep_run(cfg):
     """Evolve the coherence matrix and collect stationary-window snapshots.
 
     Starts from the diagonal linear profile.  Euler stepping applies the
-    noise commutator and its quadratic correction exactly as realized;
-    the 'unitary' integrator conjugates by the exact bond rotation instead
-    and is kept for stability cross-checks.  Snapshots (every
-    snapshot_stride steps) begin once the trace observable has plateaued,
-    or at cfg.t_stat when set.  A spectral excursion beyond the stability
-    window aborts with a stability error suggesting a smaller dt.
+    noise commutator and its quadratic correction exactly as realized and
+    re-hermitises every step; the 'unitary' integrator conjugates by the
+    exact bond rotation, which keeps M Hermitian up to rounding, so it
+    re-hermitises only every snapshot_stride steps and reports the largest
+    deviation found there as hermiticity_drift.
+
+    Snapshots (every snapshot_stride steps) begin at cfg.t_stat.  Unset, the
+    trajectory is still stepped once: all stride snapshots are held, up to
+    steps // snapshot_stride N x N matrices, until the trace observable's
+    plateau onset is known, and those before it are dropped; the result
+    equals a run with t_stat = onset * dt.  A spectral excursion beyond the
+    stability window aborts with a stability error suggesting a smaller dt.
     """
     n = cfg.n_sites
     if n < 3:
         raise DomainError("need at least 3 sites")
     rng = rng_for(cfg.seed, cfg.stream)
-    m = np.diag(np.arange(1, n + 1) / n).astype(complex)
+    unitary = cfg.integrator == "unitary"
+    order = _even_odd(n) if unitary else np.arange(n)  # site at each storage index
+    pos = np.argsort(order)
+    m = np.diag((order + 1) / n).astype(complex)
+    ends = pos[[0, -1]]
+    buf = np.empty((2, n, n), dtype=complex)
     steps = int(round(cfg.t_end / cfg.dt))
     sqrt_half_dt = np.sqrt(cfg.dt / 2.0)
-    times = []
-    snaps = []
+    kept = []  # (step, snapshot)
+    drift = 0.0
     trace_series = np.empty(steps)
     stat_step = None if cfg.t_stat is None else int(round(cfg.t_stat / cfg.dt))
 
     for step in range(steps):
         w = sqrt_half_dt * (rng.standard_normal(n - 1)
                             + 1j * rng.standard_normal(n - 1))
-        if cfg.integrator == "euler":
-            c1 = _commutator_with_noise(w, m)
-            c2 = _commutator_with_noise(w, c1)
-            m = m + 1j * c1 - 0.5 * c2 + _boundary_drive(m, cfg.rates) * cfg.dt
+        edges = m[ends], m[:, ends]
+        if unitary:
+            # exact unitary conjugation; the noise then cannot move the spectrum
+            _bond_rotate(m, w, buf)
         else:
-            # exact unitary conjugation, split over non-overlapping bond sets;
-            # the noise then cannot move the spectrum at all
-            drive = _boundary_drive(m, cfg.rates) * cfg.dt
-            _bond_rotate(m, w, 0)
-            _bond_rotate(m, w, 1)
-            m = m + drive
-        m = 0.5 * (m + m.conj().T)
-        trace_series[step] = np.real(np.trace(m @ m)) / n
-        take = stat_step is not None and step >= stat_step
-        if step % cfg.snapshot_stride == 0:
+            c1 = _commutator_with_noise(w, m)
+            m = m + 1j * c1 - 0.5 * _commutator_with_noise(w, c1)
+        _boundary_drive(m, ends, *edges, cfg.rates, cfg.dt)
+        at_stride = step % cfg.snapshot_stride == 0
+        if at_stride:
+            drift = max(drift, float(np.max(np.abs(m - m.conj().T))))
+        if at_stride or not unitary:
+            m = 0.5 * (m + m.conj().T)
+        trace_series[step] = np.vdot(m, m).real / n
+        if at_stride:
             eig_probe = np.linalg.eigvalsh(m)
             lo, hi = cfg.stability_window
             if eig_probe[0] < lo or eig_probe[-1] > hi:
                 raise StabilityError(
                     f"spectrum escaped [{lo}, {hi}] at t={step * cfg.dt:.3f}; "
                     f"reduce dt (currently {cfg.dt})")
-            if take:
-                times.append(step * cfg.dt)
-                snaps.append(m.copy())
+            if stat_step is None or step >= stat_step:
+                kept.append((step, m[np.ix_(pos, pos)]))
 
     if stat_step is None:
-        # plateau detection on the trace observable, then slice snapshots
-        window = max(20, steps // 20)
-        onset = detect_stationarity(trace_series, window)
-        if onset is None:
-            onset = steps // 2
-        stat_step = onset
-        times = []
-        snaps = []
-        # re-run deterministically to collect snapshots past the detected onset
-        rerun = QssepConfig(n_sites=cfg.n_sites, dt=cfg.dt, t_end=cfg.t_end,
-                            t_stat=stat_step * cfg.dt, rates=cfg.rates,
-                            seed=cfg.seed, stream=cfg.stream,
-                            snapshot_stride=cfg.snapshot_stride,
-                            integrator=cfg.integrator,
-                            stability_window=cfg.stability_window)
-        return qssep_run(rerun)
+        # plateau detection on the trace observable, then cut at the onset
+        onset = detect_stationarity(trace_series, max(20, steps // 20))
+        stat_step = steps // 2 if onset is None else onset
+        kept = [(step, snap) for step, snap in kept if step >= stat_step]
 
-    return QssepRun(config=cfg, times=np.asarray(times), snapshots=snaps,
-                    trace_series=trace_series, stationarity_index=stat_step)
+    return QssepRun(config=cfg, times=np.asarray([step * cfg.dt for step, _ in kept]),
+                    snapshots=[snap for _, snap in kept], trace_series=trace_series,
+                    stationarity_index=stat_step, hermiticity_drift=drift)
 
 
 # ---------------------------------------------------------------------------

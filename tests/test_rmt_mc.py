@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subspectra import freeprob as fp
 from subspectra import rmt_mc as mc
@@ -93,6 +95,78 @@ def test_qssep_noise_off_is_static():
     base = np.sort(np.linalg.eigvalsh(np.diag(np.arange(1, 11) / 10.0)))
     for snap in run.snapshots:
         np.testing.assert_allclose(np.sort(np.linalg.eigvalsh(snap)), base, atol=1e-12)
+    assert run.hermiticity_drift < mc.HERMITICITY_TOL
+
+
+def test_qssep_single_pass_matches_known_onset():
+    cfg = dict(n_sites=16, dt=0.1, t_end=60.0, seed=4, snapshot_stride=10,
+               integrator="unitary")
+    found = mc.qssep_run(mc.QssepConfig(**cfg))
+    onset = found.stationarity_index
+    assert 0 < onset < 600 and 0 < len(found.snapshots) < 60  # some snapshots cut
+    known = mc.qssep_run(mc.QssepConfig(**cfg, t_stat=onset * cfg["dt"]))
+    assert known.stationarity_index == onset
+    np.testing.assert_array_equal(found.times, known.times)
+    np.testing.assert_array_equal(found.trace_series, known.trace_series)
+    assert len(found.snapshots) == len(known.snapshots)
+    for x, y in zip(found.snapshots, known.snapshots):
+        np.testing.assert_array_equal(x, y)
+
+
+def _random_complex(rng, shape):
+    return rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(3, 41), layer=st.sampled_from([0, 1, None]),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_bond_rotate_equals_dense_conjugation(n, layer, seed, data):
+    rng = np.random.default_rng(seed)
+    m = _random_complex(rng, (n, n))
+    w = _random_complex(rng, n - 1)
+    w[data.draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))] = 0.0
+    if layer is not None:
+        w[1 - layer::2] = 0.0  # only the bonds (layer, layer + 1), (layer + 2, ...) act
+    u = np.eye(n, dtype=complex)
+    for offset in (0, 1):
+        uo = np.eye(n, dtype=complex)
+        for a in range(offset, n - 1, 2):
+            r = abs(w[a])
+            phase = w[a] / r if r > 0 else 1.0
+            uo[a:a + 2, a:a + 2] = [[np.cos(r), 1j * np.sin(r) * phase],
+                                    [1j * np.sin(r) * np.conj(phase), np.cos(r)]]
+        u = uo @ u
+    want = u @ m @ u.conj().T
+    order = mc._even_odd(n)
+    stored = m[np.ix_(order, order)]
+    mc._bond_rotate(stored, w, np.empty((2, n, n), dtype=complex))
+    pos = np.argsort(order)
+    np.testing.assert_allclose(stored[np.ix_(pos, pos)], want, rtol=0, atol=1e-13)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 41), seed=st.integers(0, 2 ** 32 - 1),
+       rates=st.tuples(*[st.floats(0, 2)] * 4), dt=st.floats(1e-3, 0.5))
+def test_edge_drive_equals_dense_formula(n, seed, rates, dt):
+    rng = np.random.default_rng(seed)
+    pre, post = _random_complex(rng, (n, n)), _random_complex(rng, (n, n))
+    alpha_1, beta_1, alpha_n, beta_n = rates
+    dense = np.zeros_like(pre)
+    dense[0, 0] += alpha_1
+    dense[n - 1, n - 1] += alpha_n
+    g1, gn = 0.5 * (alpha_1 + beta_1), 0.5 * (alpha_n + beta_n)
+    dense[0, :] -= g1 * pre[0, :]
+    dense[:, 0] -= g1 * pre[:, 0]
+    dense[n - 1, :] -= gn * pre[n - 1, :]
+    dense[:, n - 1] -= gn * pre[:, n - 1]
+    want = post + dense * dt
+    # stored in a random site order, as the stepper stores its own
+    order = rng.permutation(n)
+    pre, post = pre[np.ix_(order, order)], post[np.ix_(order, order)]
+    pos = np.argsort(order)
+    ends = pos[[0, -1]]
+    mc._boundary_drive(post, ends, pre[ends], pre[:, ends], rates, dt)
+    np.testing.assert_allclose(post[np.ix_(pos, pos)], want, rtol=0, atol=1e-13)
 
 
 def test_qssep_euler_instability_detected():

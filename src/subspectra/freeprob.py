@@ -378,7 +378,6 @@ def richardson_extrapolate(eps_values, samples):
             e0, e1 = eps[i], eps[i + level]
             nxt.append((e0 * table[i + 1] - e1 * table[i]) / (e0 - e1))
         table = nxt
-        eps = eps  # offsets handled by index arithmetic above
     return table[0]
 
 

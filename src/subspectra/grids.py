@@ -7,6 +7,8 @@ variables a_z, b_z and variance profiles all live on this grid.
 
 import numpy as np
 
+from .errors import DomainError
+
 
 def midpoints(resolution):
     """Cell midpoints (k + 1/2)/G of the uniform G-cell grid on [0, 1]."""
@@ -89,3 +91,11 @@ def as_grid_values(h, resolution=None):
     if resolution is not None and arr.size != resolution:
         raise ValueError(f"value array has size {arr.size}, expected {resolution}")
     return arr
+
+
+def checked_weight(h, resolution=None):
+    """Weight profile values as floats, rejecting negative weights."""
+    h_vals = as_grid_values(h, resolution)
+    if np.any(h_vals < 0):
+        raise DomainError("weight profile h must be nonnegative (h^(1/2) must exist)")
+    return h_vals.astype(float)

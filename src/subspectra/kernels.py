@@ -16,11 +16,15 @@ Optional structure flags let consumers pick fast paths:
                       and its gradient, used by the fixed-point solver.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UnsupportedOrderError
+
+# Largest kernel tensor (elements) any quadrature path may build.
+MAX_TENSOR_ELEMS = 1 << 21
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,6 +67,19 @@ class LocalCumulantKernel:
         if self.zero_beyond is not None and n > self.zero_beyond:
             return 0.0
         return float(self.fn(n, (0.5,) * n))
+
+
+def kernel_tensor(kern, *coords):
+    """Read-only float tensor of g_k over the outer product of k 1-D coordinate arrays."""
+    k, size = len(coords), math.prod(map(len, coords))
+    if size > MAX_TENSOR_ELEMS:
+        raise UnsupportedOrderError(
+            f"order-{k} kernel tensor would need {size} elements; "
+            f"use a closed-form kernel or a coarser grid")
+    axes = [np.reshape(c, (1,) * j + (-1,) + (1,) * (k - 1 - j)) for j, c in enumerate(coords)]
+    tensor = np.asarray(kern.eval(k, *axes), dtype=float).view()
+    tensor.flags.writeable = False  # on a view: an array the kernel returned stays writeable
+    return tensor
 
 
 def constant_kernel(values, name="constant", zero_beyond=None, max_order=None):

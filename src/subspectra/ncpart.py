@@ -13,13 +13,11 @@ import math
 import numpy as np
 
 from .errors import InvalidPartitionError, SizeLimitError, UnsupportedOrderError
-from .grids import as_grid_values, midpoints
+from .grids import checked_weight, midpoints
+from .kernels import kernel_tensor
 
 ENUM_MAX_N = 12
 ORACLE_MAX_N = 8
-
-# Largest factor tensor (elements) the generic quadrature path may build.
-_MAX_TENSOR_ELEMS = 1 << 21
 
 
 def catalan(n):
@@ -156,15 +154,25 @@ def _white_order_check(kern, pistar):
                 f"needed by complement {pistar.parts}")
 
 
-def _partition_marked(kern, pi, h_vals, grid, root_coord, root_h):
+def _partition_marked(kern, pi, h_vals, grid, tensors, x=None):
     """Contribution of one partition, as values over the root variable.
 
     Message passing over the bipartite part tree: each part of pi is a
     variable vertex carrying h^{|part|}, each part of the complement is a
     factor vertex carrying a cumulant tensor; the two kinds alternate and
     every element of {1..n} is one tree edge.  Non-root variables are
-    integrated with the midpoint rule; the root runs over root_coord.
+    integrated with the midpoint rule; the root runs over the grid, or is
+    pinned to x with its weight interpolated from the grid.
+
+    A tree has no double edges, so each factor slot is its own tensor axis,
+    over the grid except for a pinned root's: a tensor depends only on which
+    of its slots carry the pinned root, the key of the caller's memo tensors.
     """
+    G = len(grid)
+    root_coord, root_h = grid, h_vals
+    if x is not None:
+        root_coord = np.array([float(x)])
+        root_h = np.array([float(np.interp(x, grid, h_vals))])
     pistar = kreweras(pi)
     _white_order_check(kern, pistar)
     if any(kern.zero_beyond is not None and len(q) > kern.zero_beyond
@@ -172,7 +180,6 @@ def _partition_marked(kern, pi, h_vals, grid, root_coord, root_h):
         return np.zeros_like(root_coord)
 
     root = pi.part_of()[1]
-    G = len(grid)
 
     if kern.constant:
         coef = 1.0
@@ -192,9 +199,6 @@ def _partition_marked(kern, pi, h_vals, grid, root_coord, root_h):
         black_facs[pof[i]].append(qof[i])
         white_slots[qof[i]].append((i, pof[i]))
 
-    def coord_of(b):
-        return root_coord if b == root else grid
-
     def msg_black(b, skip_white):
         vec = (root_h if b == root else h_vals) ** len(pi.parts[b])
         for w in black_facs[b]:
@@ -204,44 +208,32 @@ def _partition_marked(kern, pi, h_vals, grid, root_coord, root_h):
 
     def msg_white(w, parent_black):
         slot_blacks = [b for _, b in sorted(white_slots[w])]
-        axis_of = {}
-        for b in slot_blacks:
-            if b not in axis_of:
-                axis_of[b] = len(axis_of)
-        nax = len(axis_of)
-        sizes = {b: len(coord_of(b)) for b in axis_of}
-        if math.prod(sizes.values()) > _MAX_TENSOR_ELEMS:
-            raise UnsupportedOrderError(
-                f"order-{len(slot_blacks)} factor needs a tensor of "
-                f"{math.prod(sizes.values())} elements; reduce the oracle grid")
-        coords = []
-        for b in slot_blacks:
-            shape = [1] * nax
-            shape[axis_of[b]] = sizes[b]
-            coords.append(coord_of(b).reshape(shape))
-        tensor = np.asarray(kern.eval(len(slot_blacks), *coords))
-        for b in sorted(axis_of, key=axis_of.get):
-            if b == parent_black:
-                continue
-            ax = axis_of[b]
-            tensor = np.tensordot(tensor, msg_black(b, w), axes=([ax], [0])) / G
-            axis_of = {v: (a if a < ax else a - 1) for v, a in axis_of.items() if v != b}
+        key = tuple(x is not None and b == root for b in slot_blacks)
+        if key not in tensors:
+            tensors[key] = kernel_tensor(kern, *(root_coord if b == root else grid
+                                                 for b in slot_blacks))
+        tensor = tensors[key]
+        # contract the lowest remaining axis that is not the parent's
+        keep = slot_blacks.index(parent_black)
+        for ax, b in enumerate(slot_blacks):
+            if ax != keep:
+                tensor = np.tensordot(tensor, msg_black(b, w), axes=([int(ax > keep)], [0])) / G
         return tensor  # 1-d over the parent axis
 
-    return msg_black(root, None)
+    out = msg_black(root, None)
+    del msg_black  # break the closure cycle, so tensors is freed without waiting for gc
+    return out
 
 
-def _checked_order(n):
+def _oracle_sum(kern, h_vals, n, x=None):
+    """Sum over the partitions of {1..n}, with one tensor memo for the call."""
     if not 1 <= n <= ORACLE_MAX_N:
         raise SizeLimitError(f"oracle order must be in 1..{ORACLE_MAX_N}, got {n}")
-    return n
-
-
-def _checked_h(h, resolution):
-    h_vals = as_grid_values(h, resolution)
-    if np.any(h_vals < 0):
-        raise ValueError("weight profile h must be nonnegative")
-    return h_vals
+    grid, tensors = midpoints(len(h_vals)), {}
+    total = 0.0
+    for pi in enumerate_nc(n):
+        total += float(np.mean(_partition_marked(kern, pi, h_vals, grid, tensors, x)))
+    return total
 
 
 def moment_oracle(kern, h, n, resolution=64):
@@ -249,15 +241,11 @@ def moment_oracle(kern, h, n, resolution=64):
 
     Each non-crossing partition contributes a tensor-quadrature integral with
     one midpoint variable per part; the Kreweras complement supplies the
-    cumulant factors.  Cost grows with the largest complement part, so keep
-    the grid modest at high orders.
+    cumulant factors.  Each kernel tensor is evaluated once per call, one per
+    order, and shared by every partition.  Cost grows with the largest
+    complement part, so keep the grid modest at high orders.
     """
-    h_vals = _checked_h(h, resolution)
-    grid = midpoints(len(h_vals))
-    total = 0.0
-    for pi in enumerate_nc(_checked_order(n)):
-        total += float(np.mean(_partition_marked(kern, pi, h_vals, grid, grid, h_vals)))
-    return total
+    return _oracle_sum(kern, checked_weight(h, resolution), n)
 
 
 def marked_moment_oracle(kern, h, n, x, resolution=64):
@@ -267,14 +255,7 @@ def marked_moment_oracle(kern, h, n, x, resolution=64):
     moment_oracle.  The weight at the marked point is interpolated from the
     grid when x is off-grid.
     """
-    h_vals = _checked_h(h, resolution)
+    h_vals = checked_weight(h, resolution)
     if not 0.0 <= x <= 1.0:
         raise ValueError("marked point must lie in [0, 1]")
-    grid = midpoints(len(h_vals))
-    hx = float(np.interp(x, grid, h_vals))
-    root_coord = np.array([float(x)])
-    root_h = np.array([hx])
-    total = 0.0
-    for pi in enumerate_nc(_checked_order(n)):
-        total += float(_partition_marked(kern, pi, h_vals, grid, root_coord, root_h)[0])
-    return total
+    return _oracle_sum(kern, h_vals, n, x)

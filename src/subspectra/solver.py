@@ -33,9 +33,9 @@ from .errors import (
     UnsupportedOrderError,
 )
 from .freeprob import MOMENTS, FormalSeries, SpectralDensity, richardson_extrapolate
-from .grids import as_grid_values, midpoints
+from .grids import as_grid_values, checked_weight, midpoints
+from .kernels import kernel_tensor
 
-_MAX_TENSOR_ELEMS = 1 << 21
 GENERIC_MAX_ORDER = 3
 
 
@@ -58,17 +58,16 @@ class FixedPointState:
 @functools.lru_cache(maxsize=64)
 def _kernel_tensor(kern, n, resolution):
     """Order-n kernel values on the grid, cached per (kernel, grid)."""
-    if resolution ** n > _MAX_TENSOR_ELEMS:
-        raise UnsupportedOrderError(
-            f"order-{n} quadrature tensor would need {resolution ** n} elements; "
-            f"use a closed-form kernel or a coarser grid")
-    grid = midpoints(resolution)
-    coords = []
-    for axis in range(n):
-        shape = [1] * n
-        shape[axis] = resolution
-        coords.append(grid.reshape(shape))
-    return np.asarray(kern.eval(n, *coords), dtype=float)
+    return kernel_tensor(kern, *[midpoints(resolution)] * n)
+
+
+def _contract_last(tensor, a):
+    """tensor[..., y] a[y] as one real matrix product; a complex a is two columns."""
+    flat = tensor.reshape(-1, tensor.shape[-1])
+    if not np.iscomplexobj(a):
+        return (flat @ a).reshape(tensor.shape[:-1])
+    re, im = (flat @ np.stack([a.real, a.imag], axis=1)).T
+    return (re + 1j * im).reshape(tensor.shape[:-1])
 
 
 def _generic_orders(kern):
@@ -114,12 +113,11 @@ def r0_apply(kern, a, resolution=None, scratch=None):
             out = out * A + kern.constant_value(k)
         return np.full(G, out) if np.isscalar(out) or np.ndim(out) == 0 else out
     top = _generic_orders(kern)
-    b = _kernel_tensor(kern, 1, G).astype(complex) if np.iscomplexobj(a) \
-        else _kernel_tensor(kern, 1, G).copy()
+    b = _kernel_tensor(kern, 1, G).astype(np.result_type(a, float))
     if top >= 2:
-        b = b + _kernel_tensor(kern, 2, G) @ a / G
+        b = b + _contract_last(_kernel_tensor(kern, 2, G), a) / G
     if top >= 3:
-        b = b + np.einsum("xyz,y,z->x", _kernel_tensor(kern, 3, G), a, a) / G ** 2
+        b = b + _contract_last(_kernel_tensor(kern, 3, G), a) @ a / G ** 2
     return b
 
 
@@ -139,22 +137,15 @@ def f0_value(kern, a, resolution=None, scratch=None):
     top = _generic_orders(kern)
     out = np.mean(_kernel_tensor(kern, 1, G) * a)
     if top >= 2:
-        out = out + (a @ _kernel_tensor(kern, 2, G) @ a) / (2 * G ** 2)
+        out = out + a @ _contract_last(_kernel_tensor(kern, 2, G), a) / (2 * G ** 2)
     if top >= 3:
-        out = out + np.einsum("xyz,x,y,z", _kernel_tensor(kern, 3, G), a, a, a) / (3 * G ** 3)
+        out = out + a @ (_contract_last(_kernel_tensor(kern, 3, G), a) @ a) / (3 * G ** 3)
     return out
 
 
 # ---------------------------------------------------------------------------
 # fixed point
 # ---------------------------------------------------------------------------
-
-def _checked_weight(h, resolution):
-    h_vals = as_grid_values(h, resolution)
-    if np.any(h_vals < 0):
-        raise DomainError("weight profile h must be nonnegative (h^(1/2) must exist)")
-    return h_vals.astype(float)
-
 
 def fixed_point_solve(kern, h, z, warm_start=None, tol=1e-10, max_iter=8000,
                       damping=0.5, anderson_depth=4, resolution=None):
@@ -169,7 +160,7 @@ def fixed_point_solve(kern, h, z, warm_start=None, tol=1e-10, max_iter=8000,
     up.  The returned state satisfies both relations to sup-norm tol.
     Deterministic for fixed inputs and settings.
     """
-    h_vals = _checked_weight(h, resolution)
+    h_vals = checked_weight(h, resolution)
     G = h_vals.size
     z = complex(z)
     if warm_start is not None and warm_start.b.size == G:
@@ -314,7 +305,7 @@ def resolvent(kern, h, z, warm_start=None, **kwargs):
     Cells with h = 0 contribute exactly 1/z.
     """
     state = fixed_point_solve(kern, h, z, warm_start=warm_start, **kwargs)
-    return resolvent_from_state(state, _checked_weight(h, kwargs.get("resolution")))
+    return resolvent_from_state(state, checked_weight(h, kwargs.get("resolution")))
 
 
 def resolvent_from_state(state, h_vals):
@@ -332,7 +323,7 @@ def estimate_radius(kern, h, resolution=None):
     from the interaction part of R0 probed at a = h; the factor 2 reproduces
     the exact edge for position-free pair kernels.
     """
-    h_vals = _checked_weight(h, resolution)
+    h_vals = checked_weight(h, resolution)
     b1 = np.real(np.asarray(r0_apply(kern, np.zeros(h_vals.size))))
     bh = np.asarray(r0_apply(kern, h_vals.astype(complex)), dtype=complex)
     lin = float(np.max(np.abs(h_vals * b1))) if h_vals.size else 0.0
@@ -345,29 +336,28 @@ def moment_series(kern, h, n_max, resolution=64, radius=None, nodes=24,
                   circle_factor=3.0, tol=1e-13):
     """Trace moments of the weighted slice from the large-|z| resolvent.
 
-    Samples z G(z) = sum phi_n z^{-n} on a circle |z| = circle_factor * radius
-    safely beyond the spectral radius and solves the resulting Vandermonde
-    system in u = 1/z for the expansion coefficients.  Equispaced circle
-    nodes keep the system perfectly conditioned, which real nodes cannot do
-    at these orders.  Results match the partition-sum oracle on the same
-    grid.  The normalization coefficient is checked and a conditioning error
-    raised if the extraction degraded.
+    Samples z G(z) = sum phi_n u^n, u = 1/z, at the equispaced nodes
+    u_j = omega^j / R, R = circle_factor * radius, safely beyond the spectral
+    radius.  On these nodes the interpolation system is a discrete Fourier
+    transform, so one FFT and a rescale by R^n give the coefficients: the
+    trapezoidal rule for the Cauchy integral, perfectly conditioned where
+    real nodes cannot be at these orders.  Results match the partition-sum
+    oracle on the same grid.  The normalization coefficient is checked and a
+    conditioning error raised if the extraction degraded.
     """
     if not 1 <= n_max <= 8:
         raise SizeLimitError(f"n_max must be in 1..8, got {n_max}")
-    h_vals = _checked_weight(h, resolution)
+    h_vals = checked_weight(h, resolution)
     if radius is None:
         radius = estimate_radius(kern, h_vals)
     big_r = circle_factor * max(radius, 1e-6)
     u = np.exp(2j * np.pi * np.arange(nodes) / nodes) / big_r
     samples = np.empty(nodes, dtype=complex)
     state = None
-    for j in range(nodes):
-        z = 1.0 / u[j]
+    for j, z in enumerate(1.0 / u):
         state = fixed_point_solve(kern, h_vals, z, warm_start=state, tol=tol)
         samples[j] = z * resolvent_from_state(state, h_vals)
-    vand = u[:, None] ** np.arange(nodes)[None, :]
-    coeffs = np.linalg.solve(vand, samples)
+    coeffs = np.fft.fft(samples) / nodes * big_r ** np.arange(nodes)
     if abs(coeffs[0] - 1.0) > 1e-7 or np.max(np.abs(coeffs[1:n_max + 1].imag)) > 1e-6:
         raise ConditioningError(
             f"moment extraction degraded (phi_0 = {coeffs[0]}); "
@@ -423,7 +413,7 @@ def spectral_density(kern, h, lam_grid, eps=1e-3, eps_ladder=None,
     zero-eigenvalue atom weight 1 - ell carried by the total spectrum.
     Isolated convergence failures are marked as gaps, not fatal.
     """
-    h_vals = _checked_weight(h, resolution)
+    h_vals = checked_weight(h, resolution)
     lam_grid = np.asarray(lam_grid, dtype=float)
     mask = h_vals > 0
     ell = float(np.mean(mask))
@@ -477,7 +467,7 @@ def grand_potential(kern, h, z, warm_start=None, **kwargs):
     numerical z-derivative equals the resolvent.  For h identically zero
     this is log z exactly.
     """
-    h_vals = _checked_weight(h, kwargs.get("resolution"))
+    h_vals = checked_weight(h, kwargs.get("resolution"))
     state = fixed_point_solve(kern, h_vals, z, warm_start=warm_start, **kwargs)
     bracket = np.mean(np.log(state.z - h_vals * state.b) + state.a * state.b)
     return complex(bracket - f0_value(kern, state.a, scratch=state.scratch))
@@ -488,7 +478,7 @@ def functional_derivative_check(kern, h, z, x_index, delta=1e-4, **kwargs):
 
     Returns the pair (lhs, rhs); they agree at a converged stationary point.
     """
-    h_vals = _checked_weight(h, kwargs.get("resolution"))
+    h_vals = checked_weight(h, kwargs.get("resolution"))
     G = h_vals.size
     if not 0 <= x_index < G:
         raise DomainError(f"x_index {x_index} outside grid of size {G}")

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,7 @@ from subspectra import (
 from subspectra import cumulants_to_moments, free_cumulants
 from subspectra.errors import InvalidPartitionError, SizeLimitError, UnsupportedOrderError
 from subspectra.grids import midpoints
-from subspectra.kernels import LocalCumulantKernel
+from subspectra.kernels import LocalCumulantKernel, kernel_tensor
 
 from conftest import smooth_kernel
 
@@ -138,6 +141,33 @@ def test_marked_oracle_pins_and_integrates():
     for n in range(1, 5):
         total = np.mean([marked_moment_oracle(kern, h, n, x, G) for x in grid])
         assert abs(total - moment_oracle(kern, h, n, G)) < 1e-12
+
+
+def test_oracle_evaluates_each_tensor_once_per_call():
+    base = smooth_kernel(3)
+    orders, outputs = [], []
+
+    def fn(n, xs):
+        out = base.fn(n, xs)
+        orders.append(n)
+        outputs.append(weakref.ref(out))
+        return out
+
+    counted = LocalCumulantKernel(name="counted", fn=fn, zero_beyond=3)
+    h = GridFunction.from_callable(lambda x: 0.5 + x / 4, 16)
+    gc.disable()
+    try:
+        value = moment_oracle(counted, h, 6, 16)
+        # the memo lives for one call only and is freed without a gc pass
+        assert all(ref() is None for ref in outputs)
+    finally:
+        gc.enable()
+    assert sorted(orders) == [1, 2, 3]
+    assert value == moment_oracle(base, h, 6, 16)
+    assert not kernel_tensor(base, midpoints(4), midpoints(4)).flags.writeable
+    from subspectra import qssep_kernel
+    grid = midpoints(4)  # the order-1 recursion hands back its coordinate array
+    assert not kernel_tensor(qssep_kernel(), grid).flags.writeable and grid.flags.writeable
 
 
 def test_marked_first_order_value():

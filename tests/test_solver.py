@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subspectra import (
     GridFunction,
@@ -16,6 +18,7 @@ from subspectra import (
 from subspectra import solver as sv
 from subspectra.errors import DomainError, SizeLimitError, UnsupportedOrderError
 from subspectra.grids import midpoints
+from subspectra.kernels import LocalCumulantKernel
 
 from conftest import smooth_kernel
 
@@ -89,10 +92,41 @@ def test_moment_series_order_limit():
         moment_series(wigner_kernel(1.0), GridFunction.constant(1.0, 16), 9)
 
 
+def _generic_reference(tensors, a):
+    """R0[a] and F0[a] of an order <= 3 kernel tensor family, by einsum."""
+    G = a.size
+    b = tensors[0] + np.einsum("xy,y->x", tensors[1], a) / G
+    f = np.mean(tensors[0] * a) + np.einsum("xy,x,y", tensors[1], a, a) / (2 * G ** 2)
+    if len(tensors) == 3:
+        b = b + np.einsum("xyz,y,z->x", tensors[2], a, a) / G ** 2
+        f = f + np.einsum("xyz,x,y,z", tensors[2], a, a, a) / (3 * G ** 3)
+    return b, f
+
+
+@settings(max_examples=60, deadline=None)
+@given(G=st.integers(1, 24), top=st.sampled_from([2, 3]), complex_a=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_generic_r0_and_f0_match_einsum(G, top, complex_a, seed):
+    rng = np.random.default_rng(seed)
+    tensors = [rng.normal(size=(G,) * k) for k in range(1, top + 1)]
+
+    def fn(n, xs):  # the tensor entry at the grid cells of the coordinates
+        return tensors[n - 1][tuple(np.rint(np.asarray(x) * G - 0.5).astype(int) for x in xs)]
+
+    kern = LocalCumulantKernel(name="random-tensors", fn=fn, zero_beyond=top)
+    a = rng.normal(size=G) + (1j * rng.normal(size=G) if complex_a else 0.0)
+    b_ref, f_ref = _generic_reference(tensors, a)
+    # rounding scales with the sums of absolute terms, not with the results
+    b_abs, f_abs = _generic_reference([np.abs(t) for t in tensors], np.abs(a))
+    b = sv.r0_apply(kern, a)
+    assert b.shape == (G,) and np.iscomplexobj(b) == complex_a
+    assert np.all(np.abs(b - b_ref) <= 1e-12 * b_abs)
+    assert abs(sv.f0_value(kern, a) - f_ref) <= 1e-12 * f_abs
+
+
 def test_generic_kernel_order_limit():
     def fn(n, xs):
         return np.broadcast_arrays(*xs)[0] * 0 + 0.1
-    from subspectra.kernels import LocalCumulantKernel
     quartic = LocalCumulantKernel(name="quartic", fn=fn, zero_beyond=4)
     with pytest.raises(UnsupportedOrderError):
         sv.r0_apply(quartic, np.zeros(16))

@@ -201,10 +201,10 @@ def read_density_csv(path):
 # ---------------------------------------------------------------------------
 
 SPECTRUM_KEYS = {"command", "ensemble", "params", "h", "grid", "eps", "eps_ladder",
-                 "lambda_grid", "seed", "threads", "emit_closed_form", "interval"}
+                 "lambda_grid", "seed", "emit_closed_form", "interval"}
 
 
-def cmd_spectrum(cfg, out_dir, threads):
+def cmd_spectrum(cfg, out_dir):
     _require_keys(cfg, SPECTRUM_KEYS, "config")
     resolution = _get(cfg, "grid", int, "config", default=400)
     kern = build_kernel(cfg, resolution)
@@ -217,8 +217,7 @@ def cmd_spectrum(cfg, out_dir, threads):
     eps = _get(cfg, "eps", float, "config", default=1e-3)
     ladder = _get(cfg, "eps_ladder", list, "config")
 
-    dens = solver.spectral_density(kern, h, lam, eps=eps, eps_ladder=ladder,
-                                   threads=threads)
+    dens = solver.spectral_density(kern, h, lam, eps=eps, eps_ladder=ladder)
     csv_path = os.path.join(out_dir, "density.csv")
     digest = write_csv(csv_path,
                        {"lambda": dens.lam, "rho_block": np.nan_to_num(dens.rho),
@@ -230,6 +229,7 @@ def cmd_spectrum(cfg, out_dir, threads):
         "atom_weight": dens.atom_weight,
         "block_fraction": dens.block_fraction,
         "gap_count": int(dens.gaps.sum()) if dens.gaps is not None else 0,
+        "solver": {"iterations": dens.iterations.tolist(), "fallbacks": dens.fallbacks},
         "settings_hash": _settings_hash(cfg),
         "content_hash": digest,
     }
@@ -267,7 +267,7 @@ MC_KEYS = {"n_sites", "dt", "t_end", "t_stat", "rates", "realizations",
            "n_dim", "samples"}
 
 
-def cmd_simulate(cfg, out_dir, threads):
+def cmd_simulate(cfg, out_dir):
     _require_keys(cfg, SIMULATE_KEYS, "config")
     ens = _get(cfg, "ensemble", str, "config", required=True)
     mc_cfg = _get(cfg, "mc", dict, "config", required=True)
@@ -346,7 +346,7 @@ def cmd_simulate(cfg, out_dir, threads):
 ORACLE_KEYS = {"command", "ensemble", "params", "h", "grid", "n_max", "seed"}
 
 
-def cmd_oracle(cfg, out_dir, threads):
+def cmd_oracle(cfg, out_dir):
     _require_keys(cfg, ORACLE_KEYS, "config")
     n_max = _get(cfg, "n_max", int, "config", default=4)
     if not 1 <= n_max <= 6:
@@ -377,7 +377,7 @@ def cmd_oracle(cfg, out_dir, threads):
 DIAGNOSE_KEYS = {"command", "ensemble", "params", "h", "grid", "order", "seed"}
 
 
-def cmd_diagnose(cfg, out_dir, threads):
+def cmd_diagnose(cfg, out_dir):
     _require_keys(cfg, DIAGNOSE_KEYS, "config")
     resolution = _get(cfg, "grid", int, "config", default=256)
     kern = build_kernel(cfg, resolution)
@@ -400,7 +400,7 @@ def cmd_diagnose(cfg, out_dir, threads):
 COMPARE_KEYS = {"command", "files"}
 
 
-def cmd_compare(cfg, out_dir, threads):
+def cmd_compare(cfg, out_dir):
     _require_keys(cfg, COMPARE_KEYS, "config")
     files = _get(cfg, "files", list, "config", required=True)
     if len(files) != 2:
@@ -443,12 +443,7 @@ def main(argv=None):
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=".")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
     args = parser.parse_args(argv)
-
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("SUBSPECTRA_THREADS", "1"))
 
     try:
         cfg = load_config(args.config)
@@ -459,7 +454,7 @@ def main(argv=None):
         if args.seed is not None:
             cfg["seed"] = args.seed
         os.makedirs(args.out, exist_ok=True)
-        return COMMANDS[args.command](cfg, args.out, threads)
+        return COMMANDS[args.command](cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

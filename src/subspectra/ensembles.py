@@ -58,8 +58,8 @@ def inhomogeneous_wigner_kernel(s_profile, resolution=400):
     s2 = np.asarray(s_vals, dtype=float) ** 2
 
     def r0(a, x, scratch):
-        if a.size != s2.size:
-            raise ValueError(f"profile grid {s2.size} != solver grid {a.size}")
+        if a.shape[-1] != s2.size:
+            raise ValueError(f"profile grid {s2.size} != solver grid {a.shape[-1]}")
         return s2 * a
 
     def f0(a, x, scratch):
@@ -226,48 +226,22 @@ def _qssep_w(i_vals, scratch=None, tol=1e-13):
             scratch["w"] = complex(w)
         return complex(w)
 
-    def newton(w, profile, iters=60):
-        best = (np.inf, w)
-        for _ in range(iters):
-            d = w - profile
-            if np.min(np.abs(d)) < 1e-13:
-                return best[1], False
-            inv = 1.0 / d
-            g = np.mean(inv) - 1.0
-            scale = max(1.0, float(np.mean(np.abs(inv))))
-            if abs(g) <= tol * scale:
-                return w, True
-            if abs(g) < best[0]:
-                best = (abs(g), w)
-            gp = -np.mean(inv * inv)
-            if not np.isfinite(gp) or gp == 0:
-                return best[1], False
-            step = g / gp
-            cap = 0.5 * (1.0 + abs(w))
-            if abs(step) > cap:
-                step *= cap / abs(step)
-            for _ in range(60):
-                if np.min(np.abs((w - step) - profile)) > 1e-12:
-                    break
-                step *= 0.5
-            w = w - step
-        return best[1], False
-
     seeds = []
     if scratch and "w" in scratch:
         seeds.append(complex(scratch["w"]))
     seeds.append(1.0 + complex(np.mean(i_vals)))
     for w0 in seeds:
-        w, ok = newton(w0, i_vals)
-        if ok:
+        w, ok = _w_newton(np.array([w0]), i_vals[None], tol)
+        if ok[0]:
             if scratch is not None:
-                scratch["w"] = w
-            return w
+                scratch["w"] = w[0]
+            return w[0]
     # homotopy fallback: grow the profile from zero and track the outer root
     w, t, dt = 1.0 + 0.0j, 0.0, 0.25
     while t < 1.0:
         t_next = min(1.0, t + dt)
-        w_next, ok = newton(w, t_next * i_vals, iters=50)
+        w_next, ok = _w_newton(np.array([w]), (t_next * i_vals)[None], tol, iters=50)
+        w_next, ok = w_next[0], ok[0]
         if not ok:
             dt *= 0.5
             if dt < 1e-5:
@@ -281,23 +255,111 @@ def _qssep_w(i_vals, scratch=None, tol=1e-13):
     return w
 
 
+def _scalar_abs(x):
+    """|x| rounded as Python's abs; numpy's complex abs loop can differ by an ulp,
+    which a long Newton path amplifies into another root."""
+    return np.hypot(x.real, x.imag)
+
+
+def _w_newton(w, prof, tol, iters=60):
+    """Damped Newton on mean(1/(w - I)) = 1, one root per row of the (k, G) stack I.
+
+    Starts from the seeds w and returns (roots, converged mask).  A row stops
+    when its step would land within 1e-13 of a profile value or its
+    derivative degenerates; steps are capped at half of 1 + |w| and halved
+    until they keep 1e-12 away from the profile.
+    """
+    n = prof.shape[-1]
+    w = w.astype(complex)
+    rows = np.arange(w.size)
+    settled = np.zeros(w.size, dtype=bool)
+    wr = w.copy()
+    d = wr[:, None] - prof
+    dist = np.abs(d)
+    for _ in range(iters):
+        stuck = np.min(dist, axis=-1) < 1e-13
+        with np.errstate(divide="ignore", invalid="ignore"):  # stuck rows are dropped
+            inv = 1.0 / d
+        # sum / n is np.mean's arithmetic without its per-call overhead
+        g = inv.sum(axis=-1) / n - 1.0
+        scale = np.maximum(1.0, np.abs(inv).sum(axis=-1) / n)
+        done = ~stuck & (_scalar_abs(g) <= tol * scale)
+        w[rows[done]] = wr[done]
+        settled[rows[done]] = True
+        if done.all():
+            break
+        gp = -((inv * inv).sum(axis=-1) / n)
+        go = ~(done | stuck | ~np.isfinite(gp) | (gp == 0))
+        if not go.any():
+            break
+        if not go.all():
+            rows, wr, prof, g, gp = rows[go], wr[go], prof[go], g[go], gp[go]
+        step = g / gp
+        cap = 0.5 * (1.0 + _scalar_abs(wr))
+        over = _scalar_abs(step) > cap
+        step[over] *= cap[over] / _scalar_abs(step[over])
+        d = (wr - step)[:, None] - prof
+        dist = np.abs(d)
+        for _ in range(60):
+            near = np.min(dist, axis=-1) <= 1e-12
+            if not near.any():
+                break
+            step[near] *= 0.5
+            d = (wr - step)[:, None] - prof
+            dist = np.abs(d)
+        wr = wr - step
+    return w, settled
+
+
+def _qssep_w_rows(i_vals, scratch, tol=1e-13):
+    """_qssep_w for each row of a (k, G) stack; scratch holds one dict per row.
+
+    Complex rows run the Newton of _qssep_w together, each from its own
+    seed; real rows, and rows that Newton does not settle, go through
+    _qssep_w itself with its homotopy fallback.  A row with no admissible
+    root comes back as NaN.
+    """
+    w = np.array([s.get("w", np.nan) for s in scratch], dtype=complex)
+    unseeded = np.isnan(w)
+    w[unseeded] = 1.0 + i_vals[unseeded].mean(axis=-1)
+    settled = np.zeros(w.size, dtype=bool)
+    rows = np.flatnonzero(np.max(np.abs(i_vals.imag), axis=-1) >= 1e-14)
+    w[rows], settled[rows] = _w_newton(w[rows], i_vals[rows], tol)
+    for r, sc in enumerate(scratch):
+        if settled[r]:
+            sc["w"] = w[r]
+            continue
+        try:
+            w[r] = _qssep_w(i_vals[r], sc, tol)
+        except NoSolutionError:
+            w[r] = np.nan
+    return w
+
+
 def _qssep_tail_integral(a):
-    """I(x_k) = integral of a over (x_k, 1], consistent with the midpoint rule."""
-    G = a.size
-    rev = np.concatenate((np.cumsum(a[::-1])[::-1][1:], [0.0 * a[0]]))
+    """I(x_k) = integral of a over (x_k, 1], consistent with the midpoint rule.
+
+    Acts along the last axis, so a (k, G) stack gives one profile per row.
+    """
+    G = a.shape[-1]
+    rev = np.cumsum(a[..., ::-1], axis=-1)[..., ::-1]
+    rev = np.concatenate((rev[..., 1:], 0.0 * a[..., :1]), axis=-1)
     return (rev + 0.5 * a) / G
 
 
 def _qssep_head_integral(f):
-    """integral of f over [0, x_k), consistent with the midpoint rule."""
-    G = f.size
-    head = np.concatenate(([0.0 * f[0]], np.cumsum(f)[:-1]))
+    """integral of f over [0, x_k), consistent with the midpoint rule (last axis)."""
+    G = f.shape[-1]
+    head = np.concatenate((0.0 * f[..., :1], np.cumsum(f, axis=-1)[..., :-1]), axis=-1)
     return (head + 0.5 * f) / G
 
 
 def _qssep_r0(a, x, scratch):
     i_vals = _qssep_tail_integral(np.asarray(a))
-    w = _qssep_w(i_vals, scratch)
+    if i_vals.ndim == 1:
+        w = _qssep_w(i_vals, scratch)
+    else:
+        w = _qssep_w_rows(i_vals, scratch)[:, None]
     return _qssep_head_integral(1.0 / (w - i_vals))
 
 

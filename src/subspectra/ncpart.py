@@ -154,7 +154,7 @@ def _white_order_check(kern, pistar):
                 f"needed by complement {pistar.parts}")
 
 
-def _partition_marked(kern, pi, h_vals, grid, tensors, x=None):
+def _partition_marked(kern, pi, h_vals, grid, memo, x=None):
     """Contribution of one partition, as values over the root variable.
 
     Message passing over the bipartite part tree: each part of pi is a
@@ -166,7 +166,9 @@ def _partition_marked(kern, pi, h_vals, grid, tensors, x=None):
 
     A tree has no double edges, so each factor slot is its own tensor axis,
     over the grid except for a pinned root's: a tensor depends only on which
-    of its slots carry the pinned root, the key of the caller's memo tensors.
+    of its slots carry the pinned root, its key in the caller's memo.  A
+    constant kernel memoizes its order-k value under ("g", k) and the weight
+    moment mean(h^k) under ("h", k) instead.
     """
     G = len(grid)
     root_coord, root_h = grid, h_vals
@@ -184,12 +186,16 @@ def _partition_marked(kern, pi, h_vals, grid, tensors, x=None):
     if kern.constant:
         coef = 1.0
         for q in pistar.parts:
-            coef *= kern.constant_value(len(q))
+            if ("g", len(q)) not in memo:
+                memo["g", len(q)] = kern.constant_value(len(q))
+            coef *= memo["g", len(q)]
             if coef == 0.0:
                 return np.zeros_like(root_coord)
         for idx, p in enumerate(pi.parts):
             if idx != root:
-                coef *= float(np.mean(h_vals ** len(p)))
+                if ("h", len(p)) not in memo:
+                    memo["h", len(p)] = float(np.mean(h_vals ** len(p)))
+                coef *= memo["h", len(p)]
         return coef * root_h ** len(pi.parts[root])
 
     pof, qof = pi.part_of(), pistar.part_of()
@@ -209,10 +215,10 @@ def _partition_marked(kern, pi, h_vals, grid, tensors, x=None):
     def msg_white(w, parent_black):
         slot_blacks = [b for _, b in sorted(white_slots[w])]
         key = tuple(x is not None and b == root for b in slot_blacks)
-        if key not in tensors:
-            tensors[key] = kernel_tensor(kern, *(root_coord if b == root else grid
-                                                 for b in slot_blacks))
-        tensor = tensors[key]
+        if key not in memo:
+            memo[key] = kernel_tensor(kern, *(root_coord if b == root else grid
+                                              for b in slot_blacks))
+        tensor = memo[key]
         # contract the lowest remaining axis that is not the parent's
         keep = slot_blacks.index(parent_black)
         for ax, b in enumerate(slot_blacks):
@@ -221,18 +227,18 @@ def _partition_marked(kern, pi, h_vals, grid, tensors, x=None):
         return tensor  # 1-d over the parent axis
 
     out = msg_black(root, None)
-    del msg_black  # break the closure cycle, so tensors is freed without waiting for gc
+    del msg_black  # break the closure cycle, so the memo is freed without waiting for gc
     return out
 
 
 def _oracle_sum(kern, h_vals, n, x=None):
-    """Sum over the partitions of {1..n}, with one tensor memo for the call."""
+    """Sum over the partitions of {1..n}, with one memo for the call."""
     if not 1 <= n <= ORACLE_MAX_N:
         raise SizeLimitError(f"oracle order must be in 1..{ORACLE_MAX_N}, got {n}")
-    grid, tensors = midpoints(len(h_vals)), {}
+    grid, memo = midpoints(len(h_vals)), {}
     total = 0.0
     for pi in enumerate_nc(n):
-        total += float(np.mean(_partition_marked(kern, pi, h_vals, grid, tensors, x)))
+        total += float(np.mean(_partition_marked(kern, pi, h_vals, grid, memo, x)))
     return total
 
 

@@ -19,7 +19,7 @@ ensembles), or through order <= 3 tensor quadrature.
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -96,22 +96,30 @@ def r0_apply(kern, a, resolution=None, scratch=None):
 
     Dispatches to the kernel's closed form when available, to the power
     series in A = mean(a) for constant kernels, and to tensor quadrature
-    (orders <= 3) otherwise.
+    (orders <= 3) otherwise.  A (k, G) stack of profiles gives one row of b
+    per row of a; its scratch is a list of k per-row dicts, and a row the
+    closed form cannot solve comes back as NaN.
     """
     a = as_grid_values(a, resolution)
-    G = a.size
-    x = midpoints(G)
-    if scratch is None:
-        scratch = {}
+    G = a.shape[-1]
     if kern.r0_form is not None:
-        return kern.r0_form(a, x, scratch)
+        if scratch is None:
+            scratch = {} if a.ndim == 1 else [{} for _ in a]
+        return kern.r0_form(a, midpoints(G), scratch)
     if kern.constant:
-        A = a.mean()
+        A = a.mean(axis=-1)
         top = _constant_orders(kern)
         out = 0.0
         for k in range(top, 0, -1):
             out = out * A + kern.constant_value(k)
-        return np.full(G, out) if np.isscalar(out) or np.ndim(out) == 0 else out
+        return np.full(a.shape, np.expand_dims(out, -1))
+    if a.ndim > 1:
+        return np.stack([_generic_r0(kern, row) for row in a])
+    return _generic_r0(kern, a)
+
+
+def _generic_r0(kern, a):
+    G = a.size
     top = _generic_orders(kern)
     b = _kernel_tensor(kern, 1, G).astype(np.result_type(a, float))
     if top >= 2:
@@ -369,48 +377,185 @@ def moment_series(kern, h, n_max, resolution=64, radius=None, nodes=24,
 # spectral density
 # ---------------------------------------------------------------------------
 
-def _scan_density(kern, h_vals, lam_grid, eps, tol, max_iter, chunk,
+def _solve_columns(kern, h_vals, zs, warm, tol, max_iter):
+    """fixed_point_solve at k spectral parameters at once, as one (k, G) iteration.
+
+    Each column runs the damped relaxation and Anderson type-II mixing of
+    fixed_point_solve, at its default damping and depth, with its own
+    history, damping and divergence checks;
+    the k small least-squares problems are solved through their Gram
+    matrices in one batched call, by pseudo-inverse (eigenvalues below
+    1e-13 of the largest dropped), which also covers the rank-deficient
+    histories of constant kernels.  A column is frozen at its first iterate
+    with residual <= tol.  A column that leaves the branch, diverges or
+    spends the relaxation budget is handed alone to fixed_point_solve from
+    its warm start, which keeps the bisection and Newton-Krylov fallbacks in
+    one place.  No row's arithmetic depends on another, so the result does
+    not depend on k.
+
+    Returns (states, handed): one FixedPointState per column, None where
+    fixed_point_solve failed too, and the number of columns handed over.
+    """
+    k, G = len(zs), h_vals.size
+    depth = 5  # Anderson depth 4, plus the newest entry
+    z = np.asarray(zs, dtype=complex)
+    cold = [w is None or w.b.size != G for w in warm]
+    scratch = [{} if c else dict(w.scratch) for c, w in zip(cold, warm)]
+    b = np.array([r0_apply(kern, np.zeros(G), scratch=sc) if c else w.b
+                  for c, w, sc in zip(cold, warm, scratch)], dtype=complex)
+    budget = min(max_iter, 400)
+    states, spent = [None] * k, {}
+    # per active row: column, z, damping, best residual, history length, and
+    # the history itself: slots 0..depth-2 hold the latest differences of the
+    # residuals f (of the map values g) in circular order, slot -1 the newest.
+    col, zc = np.arange(k), z
+    eta, res_best = np.full(k, 0.5), np.full(k, np.inf)
+    n_hist = np.zeros(k, dtype=int)
+    hist_f = np.zeros((k, depth, G), dtype=complex)
+    hist_g = np.zeros((k, depth, G), dtype=complex)
+    slots = np.arange(depth - 1)
+    for it in range(1, budget + 1):
+        denom = zc[:, None] - h_vals * b
+        off = np.min(np.abs(denom), axis=1) < 1e-13 * np.maximum(1.0, np.abs(zc))
+        if off.any():
+            denom[off] = 1.0
+        a = h_vals / denom
+        g = np.asarray(r0_apply(kern, a, scratch=scratch), dtype=complex)
+        f = g - b
+        res = np.max(np.abs(f), axis=1)
+        bad = off | ~np.isfinite(res)
+        done = ~bad & (res <= tol)
+        for r in np.flatnonzero(done):
+            states[col[r]] = FixedPointState(z=complex(zc[r]), a=a[r].copy(), b=b[r].copy(),
+                                             residual=float(res[r]), iterations=it,
+                                             scratch=scratch[r])
+        improved = res < res_best
+        res_best = np.where(improved, res, res_best)
+        bad |= ~improved & (res > 100.0 * res_best)
+        for r in np.flatnonzero(bad):
+            spent[col[r]] = it
+        keep = ~(bad | done)
+        if not keep.all():
+            col, zc, b, g, f, res = col[keep], zc[keep], b[keep], g[keep], f[keep], res[keep]
+            eta, res_best, n_hist = eta[keep], res_best[keep], n_hist[keep]
+            hist_f = hist_f[keep]  # one at a time: the old copy goes before the next
+            hist_g = hist_g[keep]
+            scratch = [sc for sc, kp in zip(scratch, keep) if kp]
+            if col.size == 0:
+                break
+        reset = res > 10.0 * res_best
+        n_hist[reset] = 0
+        eta[reset] = np.maximum(eta[reset] * 0.5, 1e-3)
+        slot = it % (depth - 1)
+        hist_f[:, slot] = f - hist_f[:, -1]
+        hist_g[:, slot] = g - hist_g[:, -1]
+        hist_f[:, -1], hist_g[:, -1] = f, g
+        n_hist = np.minimum(n_hist + 1, depth)
+        accept = np.zeros(col.size, dtype=bool)
+        if it > 3:
+            # Anderson type-II: minimize |f - dF gamma| over each row's history,
+            # through the pseudo-inverse of the Gram matrix of the valid
+            # differences; a constant kernel makes every residual parallel.
+            valid = (slot - slots) % (depth - 1) < (n_hist - 1)[:, None]
+            gram = np.conj(hist_f) @ hist_f.transpose(0, 2, 1)
+            rhs = gram[:, :-1, -1] * valid
+            gram = gram[:, :-1, :-1] * (valid[:, :, None] & valid[:, None, :])
+            top = np.max(np.where(valid, gram[:, slots, slots].real, 0.0), axis=1)
+            gram[:, slots, slots] += np.where(valid, 0.0, np.where(top > 0, top, 1.0)[:, None])
+            ev, vec = np.linalg.eigh(gram)
+            inv = np.divide(1.0, ev, out=np.zeros_like(ev), where=ev > 1e-13 * ev[:, -1:])
+            coef = inv * (np.conj(vec.transpose(0, 2, 1)) @ rhs[..., None])[..., 0]
+            gamma = (vec @ coef[..., None])[..., 0]
+            accept = (n_hist >= 2) & np.all(np.isfinite(gamma), axis=1) \
+                & (np.max(np.abs(gamma), axis=1) < 50.0)
+            b_mix = g - (gamma[:, None, :] @ hist_g[:, :-1])[:, 0]
+        if accept.all():
+            b = b_mix
+        else:
+            b = (1.0 - eta[:, None]) * b + eta[:, None] * g
+            if accept.any():
+                b[accept] = b_mix[accept]
+    for c in col:
+        spent[c] = budget
+    for c in sorted(spent):
+        try:
+            st = fixed_point_solve(kern, h_vals, z[c], warm_start=warm[c], tol=tol,
+                                   max_iter=max_iter)
+        except (ConvergenceError, BranchError, NoSolutionError):
+            continue
+        states[c] = replace(st, iterations=st.iterations + spent[c])
+    return states, len(spent)
+
+
+def _scan_columns(kern, h_vals, lam_grid, ladder, tol, max_iter, chunk,
                   anneal_start, anneal_steps):
-    """One continuation sweep at fixed eps; returns (rho_block, gap mask)."""
-    G = h_vals.size
+    """Every (chunk, eps) continuation column of a density scan, in lock-step.
+
+    Column c walks its chunk of the grid at its eps, each lambda warm-started
+    from the one before; at the chunk start, and after a gap, it anneals in
+    along geomspace(anneal_start, eps, anneal_steps).  Each round solves the
+    next z of every live column in one _solve_columns call.  Returns the
+    density rows (one per eps), the gap mask, the iterations per lambda
+    summed over rungs, and the number of columns handed to the scalar solver.
+    """
+    L = lam_grid.size
     mask = h_vals > 0
     ell = float(np.mean(mask))
-    rho = np.full(lam_grid.size, np.nan)
-    gaps = np.zeros(lam_grid.size, dtype=bool)
-    for start in range(0, lam_grid.size, chunk):
-        state = None
-        for i in range(start, min(start + chunk, lam_grid.size)):
-            lam = lam_grid[i]
-            try:
-                if state is None and anneal_steps > 0:
-                    for e in np.geomspace(anneal_start, eps, anneal_steps):
-                        state = fixed_point_solve(kern, h_vals, complex(lam, e),
-                                                  warm_start=state, tol=tol,
-                                                  max_iter=max_iter)
-                else:
-                    state = fixed_point_solve(kern, h_vals, complex(lam, eps),
-                                              warm_start=state, tol=tol,
-                                              max_iter=max_iter)
-            except (ConvergenceError, BranchError, NoSolutionError):
+    rho = np.full((len(ladder), L), np.nan)
+    gaps = np.zeros(L, dtype=bool)
+    iterations = np.zeros(L, dtype=int)
+    fallbacks = 0
+    cols = [(r, start, min(start + chunk, L))
+            for r in range(len(ladder)) for start in range(0, L, chunk)]
+    pos = [start for _, start, _ in cols]
+    todo = [None] * len(cols)  # imaginary parts still to solve at pos, in order
+    states = [None] * len(cols)
+    while True:
+        live = [c for c, (_, _, stop) in enumerate(cols) if pos[c] < stop]
+        if not live:
+            break
+        for c in live:
+            if todo[c] is None:
+                e = ladder[cols[c][0]]
+                anneal = states[c] is None and anneal_steps > 0
+                todo[c] = list(np.geomspace(anneal_start, e, anneal_steps)) if anneal else [e]
+        zs = [complex(lam_grid[pos[c]], todo[c][0]) for c in live]
+        solved, handed = _solve_columns(kern, h_vals, zs, [states[c] for c in live],
+                                        tol, max_iter)
+        fallbacks += handed
+        for c, st in zip(live, solved):
+            i = pos[c]
+            states[c] = st
+            if st is None:
                 gaps[i] = True
-                state = None
-                continue
-            g_block = np.mean(mask / (state.z - h_vals * state.b)) / ell
-            # G(lam - i eps) is the conjugate of G(lam + i eps)
-            rho[i] = -g_block.imag / np.pi
-    return rho, gaps
+                todo[c] = []
+            else:
+                iterations[i] += st.iterations
+                todo[c].pop(0)
+            if not todo[c]:
+                if st is not None:
+                    g_block = np.mean(mask / (st.z - h_vals * st.b)) / ell
+                    # G(lam - i eps) is the conjugate of G(lam + i eps)
+                    rho[cols[c][0], i] = -g_block.imag / np.pi
+                pos[c] += 1
+                todo[c] = None
+    return rho, gaps, iterations, fallbacks
 
 
 def spectral_density(kern, h, lam_grid, eps=1e-3, eps_ladder=None,
                      resolution=None, tol=1e-10, max_iter=8000, chunk=64,
-                     anneal_start=0.5, anneal_steps=6, threads=1):
+                     anneal_start=0.5, anneal_steps=6):
     """Spectral density of the weighted slice along a real grid.
 
     Scans z = lambda + i*eps with warm-start continuation inside fixed-size
-    chunks (chunks re-initialize, so results do not depend on the thread
-    count).  With an eps ladder, densities are Richardson-extrapolated to
-    the real axis.  Returns the block-normalized density together with the
-    zero-eigenvalue atom weight 1 - ell carried by the total spectrum.
+    chunks of the grid.  Each (chunk, eps) pair is one continuation column,
+    and all columns advance in lock-step as one batched fixed-point
+    iteration; chunks re-initialize, so results do not depend on how the
+    columns are batched.  With an eps ladder, densities are
+    Richardson-extrapolated to the real axis.  Returns the block-normalized
+    density together with the zero-eigenvalue atom weight 1 - ell carried by
+    the total spectrum, the fixed-point iterations per lambda (summed over
+    the ladder) and the number of columns handed to the scalar solver.
     Isolated convergence failures are marked as gaps, not fatal.
     """
     h_vals = checked_weight(h, resolution)
@@ -418,40 +563,15 @@ def spectral_density(kern, h, lam_grid, eps=1e-3, eps_ladder=None,
     mask = h_vals > 0
     ell = float(np.mean(mask))
     if ell == 0.0:
-        return SpectralDensity(lam_grid, np.zeros(lam_grid.size),
-                               atom_weight=1.0, block_fraction=0.0)
+        return SpectralDensity(lam_grid, np.zeros(lam_grid.size), atom_weight=1.0,
+                               block_fraction=0.0, iterations=np.zeros(lam_grid.size, dtype=int),
+                               fallbacks=0)
     ladder = [float(eps)] if eps_ladder is None else [float(e) for e in eps_ladder]
-
-    def sweep(e):
-        return _scan_density(kern, h_vals, lam_grid, e, tol, max_iter, chunk,
-                             anneal_start, anneal_steps)
-
-    if threads > 1 and lam_grid.size > chunk:
-        from concurrent.futures import ThreadPoolExecutor
-
-        def sweep(e):  # noqa: F811 - threaded variant with identical chunking
-            starts = list(range(0, lam_grid.size, chunk))
-            rho = np.full(lam_grid.size, np.nan)
-            gaps = np.zeros(lam_grid.size, dtype=bool)
-            def run(s):
-                sub = lam_grid[s:s + chunk]
-                return s, _scan_density(kern, h_vals, sub, e, tol, max_iter,
-                                        chunk, anneal_start, anneal_steps)
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                for s, (r, g) in pool.map(run, starts):
-                    rho[s:s + chunk] = r
-                    gaps[s:s + chunk] = g
-            return rho, gaps
-
-    rows = []
-    gaps = np.zeros(lam_grid.size, dtype=bool)
-    for e in ladder:
-        r, g = sweep(e)
-        rows.append(r)
-        gaps |= g
-    rho = rows[0] if len(rows) == 1 else richardson_extrapolate(ladder, rows)
-    dens = SpectralDensity(lam_grid, rho, atom_weight=1.0 - ell,
-                           block_fraction=ell, gaps=gaps)
+    rows, gaps, iterations, fallbacks = _scan_columns(
+        kern, h_vals, lam_grid, ladder, tol, max_iter, chunk, anneal_start, anneal_steps)
+    rho = rows[0] if len(ladder) == 1 else richardson_extrapolate(ladder, list(rows))
+    dens = SpectralDensity(lam_grid, rho, atom_weight=1.0 - ell, block_fraction=ell,
+                           gaps=gaps, iterations=iterations, fallbacks=fallbacks)
     dens.support = dens.detect_support()
     return dens
 

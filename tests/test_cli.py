@@ -33,6 +33,9 @@ def test_spectrum_wigner_writes_density_and_sidecar(tmp_path):
     assert side["atom_weight"] == 0.0
     assert side["gap_count"] == 0
     assert len(side["content_hash"]) == 64
+    # iterations per lambda, summed over rungs, and columns the scalar solver took over
+    assert len(side["solver"]["iterations"]) == 47 and min(side["solver"]["iterations"]) > 0
+    assert side["solver"]["fallbacks"] == 0
 
 
 def test_spectrum_deterministic_bytes(tmp_path):

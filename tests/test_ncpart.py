@@ -170,6 +170,24 @@ def test_oracle_evaluates_each_tensor_once_per_call():
     assert not kernel_tensor(qssep_kernel(), grid).flags.writeable and grid.flags.writeable
 
 
+def test_constant_kernel_oracle_evaluates_each_order_once():
+    base = constant_kernel([0.3, -0.7, 0.2, 0.5, 0.1, -0.4])
+    orders = []
+
+    def fn(n, xs):
+        orders.append(n)
+        return base.fn(n, xs)
+
+    counted = LocalCumulantKernel(name="counted", fn=fn, constant=True,
+                                  zero_beyond=base.zero_beyond)
+    h = GridFunction.from_callable(lambda x: 0.5 + x / 4, 16)
+    for n in range(1, 7):
+        orders.clear()
+        value = moment_oracle(counted, h, n, 16)
+        assert len(orders) <= n and len(set(orders)) == len(orders)
+        assert value == moment_oracle(base, h, n, 16)
+
+
 def test_marked_first_order_value():
     g1x = LocalCumulantKernel(name="g1x", fn=lambda n, xs: np.broadcast_arrays(*xs)[0] * 1.0,
                               zero_beyond=1)

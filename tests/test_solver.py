@@ -6,8 +6,11 @@ from hypothesis import strategies as st
 from subspectra import (
     GridFunction,
     fixed_point_solve,
+    free_cumulants,
     grand_potential,
     functional_derivative_check,
+    haar_kernel,
+    inhomogeneous_wigner_kernel,
     moment_oracle,
     moment_series,
     qssep_kernel,
@@ -16,7 +19,15 @@ from subspectra import (
     wigner_kernel,
 )
 from subspectra import solver as sv
-from subspectra.errors import DomainError, SizeLimitError, UnsupportedOrderError
+from subspectra.errors import (
+    BranchError,
+    ConvergenceError,
+    DomainError,
+    NoSolutionError,
+    SizeLimitError,
+    UnsupportedOrderError,
+)
+from subspectra.freeprob import richardson_extrapolate
 from subspectra.grids import midpoints
 from subspectra.kernels import LocalCumulantKernel
 
@@ -163,13 +174,99 @@ def test_scan_direction_independence():
     assert np.max(np.abs(up.rho - down.rho[::-1])) < 1e-8
 
 
-def test_thread_count_does_not_change_results():
-    kern = wigner_kernel(1.0)
-    h = GridFunction.constant(1.0, 100)
-    lam = np.linspace(-2.2, 2.2, 150)
-    one = spectral_density(kern, h, lam, eps=1e-3, chunk=32, threads=1)
-    two = spectral_density(kern, h, lam, eps=1e-3, chunk=32, threads=3)
-    np.testing.assert_array_equal(one.rho, two.rho)
+@pytest.mark.parametrize("kern,h,lam", [
+    (wigner_kernel(1.0), GridFunction.constant(1.0, 100), np.linspace(-2.2, 2.2, 150)),
+    (qssep_kernel(), GridFunction.indicator([(0.4, 0.7)], 100), np.linspace(0.05, 0.98, 150)),
+], ids=["wigner", "qssep"])
+def test_batch_layout_does_not_change_results(kern, h, lam):
+    # chunk-aligned pieces scan with 4, 4 and 2 columns where the whole grid has 10
+    whole = spectral_density(kern, h, lam, eps_ladder=[2e-3, 1e-3], chunk=32)
+    parts = [spectral_density(kern, h, lam[s:s + 64], eps_ladder=[2e-3, 1e-3], chunk=32)
+             for s in (0, 64, 128)]
+    np.testing.assert_array_equal(whole.rho, np.concatenate([p.rho for p in parts]))
+    np.testing.assert_array_equal(whole.iterations,
+                                  np.concatenate([p.iterations for p in parts]))
+
+
+def _reference_scan(kern, h_vals, lam, ladder, chunk=64, anneal_start=0.5, anneal_steps=6):
+    """The per-lambda continuation loop, one fixed_point_solve at a time.
+
+    Returns the Richardson-extrapolated density, the gap mask and the
+    iterations per lambda summed over the ladder.
+    """
+    mask = h_vals > 0
+    ell = mask.mean()
+    rows, gaps, iterations = [], np.zeros(lam.size, dtype=bool), np.zeros(lam.size, dtype=int)
+    for eps in ladder:
+        rho = np.full(lam.size, np.nan)
+        for start in range(0, lam.size, chunk):
+            state = None
+            for i in range(start, min(start + chunk, lam.size)):
+                path = np.geomspace(anneal_start, eps, anneal_steps) if state is None else [eps]
+                try:
+                    for e in path:
+                        state = fixed_point_solve(kern, h_vals, complex(lam[i], e),
+                                                  warm_start=state)
+                        iterations[i] += state.iterations
+                except (ConvergenceError, BranchError, NoSolutionError):
+                    gaps[i] = True
+                    state = None
+                    continue
+                g_block = np.mean(mask / (state.z - h_vals * state.b)) / ell
+                rho[i] = -g_block.imag / np.pi
+        rows.append(rho)
+    return richardson_extrapolate(ladder, rows), gaps, iterations
+
+
+@pytest.mark.parametrize("kern,h,lam", [
+    (qssep_kernel(), GridFunction.indicator([(0.4, 0.7)], 128), np.linspace(0.03, 0.99, 90)),
+    (wigner_kernel(1.0), GridFunction.indicator([(0.25, 0.75)], 128), np.linspace(-2.5, 2.5, 90)),
+], ids=["qssep", "wigner"])
+def test_lockstep_scan_matches_per_lambda_loop(kern, h, lam):
+    ladder = [2e-3, 1e-3]
+    rho, gaps, iterations = _reference_scan(kern, h.values, lam, ladder)
+    dens = spectral_density(kern, h, lam, eps_ladder=ladder)
+    np.testing.assert_array_equal(dens.gaps, gaps)
+    assert np.all(np.abs(dens.rho - rho) <= 1e-8)
+    # each column is frozen at its first converged iterate and mixes only its
+    # own history: no column needs the scalar solver, and the scan does no
+    # more work than the per-lambda loop
+    assert dens.fallbacks == 0
+    assert dens.iterations.sum() <= 1.02 * iterations.sum()
+
+
+@st.composite
+def _profile_stacks(draw):
+    """(k, G) stacks a = h / (z - h b) of the solver's form, some rows near the real axis."""
+    k, G = draw(st.integers(1, 8)), draw(st.integers(8, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    z = rng.uniform(-0.5, 2.5, size=(k, 1)) + 1j * 10.0 ** rng.uniform(-6, 0.5, size=(k, 1))
+    h = rng.uniform(0.0, 1.0, size=G) * (rng.random(G) < 0.8)
+    return h / (z - h * rng.uniform(0.0, 1.5, size=(k, G)))
+
+
+def _r0_row(kern, row):
+    try:
+        return sv.r0_apply(kern, row)
+    except NoSolutionError:  # a stack reports the row as NaN instead
+        return np.full(row.size, np.nan)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=_profile_stacks())
+def test_stacked_r0_matches_rows(a):
+    G = a.shape[1]
+    kernels = [qssep_kernel(), wigner_kernel(1.3),
+               haar_kernel(free_cumulants([0.5, 0.25, 0.0, -0.125])),
+               inhomogeneous_wigner_kernel(GridFunction.from_callable(lambda x: 1 + x / 2, G),
+                                           resolution=G)]
+    for kern in kernels:
+        stacked = sv.r0_apply(kern, a)
+        rows = np.stack([_r0_row(kern, row) for row in a])
+        assert stacked.shape == a.shape
+        np.testing.assert_array_equal(np.isnan(stacked), np.isnan(rows))
+        close = np.abs(stacked - rows) <= 1e-13 * np.maximum(1.0, np.abs(rows))
+        assert np.all(close | np.isnan(rows))
 
 
 def test_grand_potential_derivative_is_resolvent():

@@ -142,6 +142,29 @@ def kreweras(pi):
     return NCPartition(n, parts, _trusted=True)
 
 
+@functools.lru_cache(maxsize=None)
+def _part_tree(pi):
+    """The bipartite part tree of pi that the oracle passes messages over.
+
+    Returns (pistar, root, black_whites, white_slots): the Kreweras
+    complement; the index of the part of pi containing 1; for each part of pi
+    (black) the complement parts (white) it meets, one per element in
+    increasing order; for each white part the black part at each of its
+    elements, in increasing element order, which is its tensor's slot order.
+    The oracle only asks for partitions of order <= ORACLE_MAX_N, so the
+    cache holds at most 2 055 trees.
+    """
+    pistar = kreweras(pi)
+    pof, qof = pi.part_of(), pistar.part_of()
+    black_whites = [[] for _ in pi.parts]
+    white_slots = [[] for _ in pistar.parts]
+    for i in range(1, pi.n + 1):
+        black_whites[pof[i]].append(qof[i])
+        white_slots[qof[i]].append(pof[i])
+    return (pistar, pof[1], tuple(map(tuple, black_whites)),
+            tuple(map(tuple, white_slots)))
+
+
 # ---------------------------------------------------------------------------
 # moment oracle
 # ---------------------------------------------------------------------------
@@ -175,13 +198,11 @@ def _partition_marked(kern, pi, h_vals, grid, memo, x=None):
     if x is not None:
         root_coord = np.array([float(x)])
         root_h = np.array([float(np.interp(x, grid, h_vals))])
-    pistar = kreweras(pi)
+    pistar, root, black_whites, white_slots = _part_tree(pi)
     _white_order_check(kern, pistar)
     if any(kern.zero_beyond is not None and len(q) > kern.zero_beyond
            for q in pistar.parts):
         return np.zeros_like(root_coord)
-
-    root = pi.part_of()[1]
 
     if kern.constant:
         coef = 1.0
@@ -198,22 +219,15 @@ def _partition_marked(kern, pi, h_vals, grid, memo, x=None):
                 coef *= memo["h", len(p)]
         return coef * root_h ** len(pi.parts[root])
 
-    pof, qof = pi.part_of(), pistar.part_of()
-    black_facs = {b: [] for b in range(len(pi.parts))}       # black -> whites
-    white_slots = {w: [] for w in range(len(pistar.parts))}  # white -> [(elem, black)]
-    for i in range(1, pi.n + 1):
-        black_facs[pof[i]].append(qof[i])
-        white_slots[qof[i]].append((i, pof[i]))
-
     def msg_black(b, skip_white):
         vec = (root_h if b == root else h_vals) ** len(pi.parts[b])
-        for w in black_facs[b]:
+        for w in black_whites[b]:
             if w != skip_white:
                 vec = vec * msg_white(w, b)
         return vec
 
     def msg_white(w, parent_black):
-        slot_blacks = [b for _, b in sorted(white_slots[w])]
+        slot_blacks = white_slots[w]
         key = tuple(x is not None and b == root for b in slot_blacks)
         if key not in memo:
             memo[key] = kernel_tensor(kern, *(root_coord if b == root else grid

@@ -55,19 +55,21 @@ class FixedPointState:
 # R0 / F0 dispatch
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=GENERIC_MAX_ORDER)
 def _kernel_tensor(kern, n, resolution):
-    """Order-n kernel values on the grid, cached per (kernel, grid)."""
+    """Order-n kernel values on the grid, cached per (kernel, grid).
+
+    The cache holds exactly one kernel's tensors of orders 1..3 on one grid,
+    so it pins at most 3 * MAX_TENSOR_ELEMS floats (48 MiB), and the kernels
+    it evicts can be freed.
+    """
     return kernel_tensor(kern, *[midpoints(resolution)] * n)
 
 
-def _contract_last(tensor, a):
-    """tensor[..., y] a[y] as one real matrix product; a complex a is two columns."""
+def _contract_rows(tensor, rows):
+    """tensor[..., y] rows[r, y] for every row of a real (m, G) stack, as one BLAS product."""
     flat = tensor.reshape(-1, tensor.shape[-1])
-    if not np.iscomplexobj(a):
-        return (flat @ a).reshape(tensor.shape[:-1])
-    re, im = (flat @ np.stack([a.real, a.imag], axis=1)).T
-    return (re + 1j * im).reshape(tensor.shape[:-1])
+    return (rows @ flat.T).reshape((len(rows),) + tensor.shape[:-1])
 
 
 def _generic_orders(kern):
@@ -98,7 +100,9 @@ def r0_apply(kern, a, resolution=None, scratch=None):
     series in A = mean(a) for constant kernels, and to tensor quadrature
     (orders <= 3) otherwise.  A (k, G) stack of profiles gives one row of b
     per row of a; its scratch is a list of k per-row dicts, and a row the
-    closed form cannot solve comes back as NaN.
+    closed form cannot solve comes back as NaN.  Tensor quadrature contracts
+    the whole stack at once, one BLAS product per kernel order, so batched
+    solves (density scans, the circle nodes of moment_series) pay one call.
     """
     a = as_grid_values(a, resolution)
     G = a.shape[-1]
@@ -113,20 +117,36 @@ def r0_apply(kern, a, resolution=None, scratch=None):
         for k in range(top, 0, -1):
             out = out * A + kern.constant_value(k)
         return np.full(a.shape, np.expand_dims(out, -1))
-    if a.ndim > 1:
-        return np.stack([_generic_r0(kern, row) for row in a])
-    return _generic_r0(kern, a)
+    b = sum(_generic_terms(kern, np.atleast_2d(a)))
+    return b if a.ndim > 1 else b[0]
 
 
-def _generic_r0(kern, a):
-    G = a.size
+def _generic_terms(kern, a):
+    """Order-by-order terms of the tensor-quadrature R0 of a (k, G) stack.
+
+    Term n is the order-n kernel tensor contracted with n - 1 copies of each
+    row, over G^(n-1): R0 is the sum of the terms, F0 the sum of
+    mean(a * term_n) / n.  Each order is one real matrix product over the
+    whole stack, where a complex stack enters as 2k real rows (real parts,
+    then imaginary parts); order 3 finishes with one batched matmul.
+    """
+    k, G = a.shape
     top = _generic_orders(kern)
-    b = _kernel_tensor(kern, 1, G).astype(np.result_type(a, float))
+    cplx = np.iscomplexobj(a)
+    rows = np.concatenate([a.real, a.imag]) if cplx else a
+    terms = [np.broadcast_to(_kernel_tensor(kern, 1, G), a.shape)]
     if top >= 2:
-        b = b + _contract_last(_kernel_tensor(kern, 2, G), a) / G
+        c = _contract_rows(_kernel_tensor(kern, 2, G), rows) / G
+        terms.append(c[:k] + 1j * c[k:] if cplx else c)
     if top >= 3:
-        b = b + _contract_last(_kernel_tensor(kern, 3, G), a) @ a / G ** 2
-    return b
+        s = _contract_rows(_kernel_tensor(kern, 3, G), rows)  # (t3 Re a, t3 Im a) per row
+        if cplx:
+            r = s @ np.tile(np.stack([a.real, a.imag], axis=-1), (2, 1, 1))
+            c = (r[:k, :, 0] - r[k:, :, 1]) + 1j * (r[:k, :, 1] + r[k:, :, 0])
+        else:
+            c = (s @ a[:, :, None])[:, :, 0]
+        terms.append(c / G ** 2)
+    return terms
 
 
 def f0_value(kern, a, resolution=None, scratch=None):
@@ -142,13 +162,8 @@ def f0_value(kern, a, resolution=None, scratch=None):
         A = a.mean()
         top = _constant_orders(kern)
         return sum(kern.constant_value(k) * A ** k / k for k in range(1, top + 1))
-    top = _generic_orders(kern)
-    out = np.mean(_kernel_tensor(kern, 1, G) * a)
-    if top >= 2:
-        out = out + a @ _contract_last(_kernel_tensor(kern, 2, G), a) / (2 * G ** 2)
-    if top >= 3:
-        out = out + a @ (_contract_last(_kernel_tensor(kern, 3, G), a) @ a) / (3 * G ** 3)
-    return out
+    terms = _generic_terms(kern, a[None])
+    return sum(np.mean(a * t) / n for n, t in enumerate(terms, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +364,12 @@ def moment_series(kern, h, n_max, resolution=64, radius=None, nodes=24,
     radius.  On these nodes the interpolation system is a discrete Fourier
     transform, so one FFT and a rescale by R^n give the coefficients: the
     trapezoidal rule for the Cauchy integral, perfectly conditioned where
-    real nodes cannot be at these orders.  Results match the partition-sum
-    oracle on the same grid.  The normalization coefficient is checked and a
-    conditioning error raised if the extraction degraded.
+    real nodes cannot be at these orders.  All nodes are solved together,
+    cold-started, as one batched fixed-point iteration (_solve_columns); a
+    node that does not converge raises ConvergenceError naming its z.
+    Results match the partition-sum oracle on the same grid.  The
+    normalization coefficient is checked and a conditioning error raised if
+    the extraction degraded.
     """
     if not 1 <= n_max <= 8:
         raise SizeLimitError(f"n_max must be in 1..8, got {n_max}")
@@ -360,11 +378,14 @@ def moment_series(kern, h, n_max, resolution=64, radius=None, nodes=24,
         radius = estimate_radius(kern, h_vals)
     big_r = circle_factor * max(radius, 1e-6)
     u = np.exp(2j * np.pi * np.arange(nodes) / nodes) / big_r
-    samples = np.empty(nodes, dtype=complex)
-    state = None
-    for j, z in enumerate(1.0 / u):
-        state = fixed_point_solve(kern, h_vals, z, warm_start=state, tol=tol)
-        samples[j] = z * resolvent_from_state(state, h_vals)
+    zs = 1.0 / u
+    states, _ = _solve_columns(kern, h_vals, zs, [None] * nodes, tol, max_iter=8000)
+    failed = [complex(z) for z, st in zip(zs, states) if st is None]
+    if failed:
+        raise ConvergenceError(
+            f"moment_series: no convergence at {len(failed)} of {nodes} circle nodes, "
+            f"z = {', '.join(f'{z:.6g}' for z in failed)}")
+    samples = np.array([z * resolvent_from_state(st, h_vals) for z, st in zip(zs, states)])
     coeffs = np.fft.fft(samples) / nodes * big_r ** np.arange(nodes)
     if abs(coeffs[0] - 1.0) > 1e-7 or np.max(np.abs(coeffs[1:n_max + 1].imag)) > 1e-6:
         raise ConditioningError(
@@ -374,12 +395,16 @@ def moment_series(kern, h, n_max, resolution=64, radius=None, nodes=24,
 
 
 # ---------------------------------------------------------------------------
-# spectral density
+# batched fixed point
 # ---------------------------------------------------------------------------
 
 def _solve_columns(kern, h_vals, zs, warm, tol, max_iter):
     """fixed_point_solve at k spectral parameters at once, as one (k, G) iteration.
 
+    The engine behind moment_series (its circle nodes, all cold) and the
+    density scans (continuation columns, warm after their first point).  A
+    column with no usable warm start starts cold from R0[0], evaluated once
+    and shared by all cold columns, each with its own copy of the scratch.
     Each column runs the damped relaxation and Anderson type-II mixing of
     fixed_point_solve, at its default damping and depth, with its own
     history, damping and divergence checks;
@@ -391,7 +416,8 @@ def _solve_columns(kern, h_vals, zs, warm, tol, max_iter):
     spends the relaxation budget is handed alone to fixed_point_solve from
     its warm start, which keeps the bisection and Newton-Krylov fallbacks in
     one place.  No row's arithmetic depends on another, so the result does
-    not depend on k.
+    not depend on k; the one exception is tensor quadrature, whose BLAS
+    products round each row according to the stack size.
 
     Returns (states, handed): one FixedPointState per column, None where
     fixed_point_solve failed too, and the number of columns handed over.
@@ -400,9 +426,11 @@ def _solve_columns(kern, h_vals, zs, warm, tol, max_iter):
     depth = 5  # Anderson depth 4, plus the newest entry
     z = np.asarray(zs, dtype=complex)
     cold = [w is None or w.b.size != G for w in warm]
-    scratch = [{} if c else dict(w.scratch) for c, w in zip(cold, warm)]
-    b = np.array([r0_apply(kern, np.zeros(G), scratch=sc) if c else w.b
-                  for c, w, sc in zip(cold, warm, scratch)], dtype=complex)
+    if any(cold):
+        cold_scratch = {}
+        cold_b = r0_apply(kern, np.zeros(G), scratch=cold_scratch)
+    scratch = [dict(cold_scratch) if c else dict(w.scratch) for c, w in zip(cold, warm)]
+    b = np.array([cold_b if c else w.b for c, w in zip(cold, warm)], dtype=complex)
     budget = min(max_iter, 400)
     states, spent = [None] * k, {}
     # per active row: column, z, damping, best residual, history length, and
@@ -487,6 +515,10 @@ def _solve_columns(kern, h_vals, zs, warm, tol, max_iter):
     return states, len(spent)
 
 
+# ---------------------------------------------------------------------------
+# spectral density
+# ---------------------------------------------------------------------------
+
 def _scan_columns(kern, h_vals, lam_grid, ladder, tol, max_iter, chunk,
                   anneal_start, anneal_steps):
     """Every (chunk, eps) continuation column of a density scan, in lock-step.
@@ -551,7 +583,8 @@ def spectral_density(kern, h, lam_grid, eps=1e-3, eps_ladder=None,
     chunks of the grid.  Each (chunk, eps) pair is one continuation column,
     and all columns advance in lock-step as one batched fixed-point
     iteration; chunks re-initialize, so results do not depend on how the
-    columns are batched.  With an eps ladder, densities are
+    columns are batched (for tensor-quadrature kernels, up to rounding in
+    the batched products).  With an eps ladder, densities are
     Richardson-extrapolated to the real axis.  Returns the block-normalized
     density together with the zero-eigenvalue atom weight 1 - ell carried by
     the total spectrum, the fixed-point iterations per lambda (summed over

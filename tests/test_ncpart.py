@@ -3,6 +3,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subspectra import (
     GridFunction,
@@ -15,12 +17,13 @@ from subspectra import (
     marked_moment_oracle,
     moment_oracle,
 )
-from subspectra import cumulants_to_moments, free_cumulants
+from subspectra import cumulants_to_moments, free_cumulants, haar_kernel, wigner_kernel
+from subspectra import ncpart
 from subspectra.errors import InvalidPartitionError, SizeLimitError, UnsupportedOrderError
 from subspectra.grids import midpoints
 from subspectra.kernels import LocalCumulantKernel, kernel_tensor
 
-from conftest import smooth_kernel
+from conftest import bernoulli_cumulants, smooth_kernel
 
 
 @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 5), (4, 14), (5, 42), (6, 132)])
@@ -86,9 +89,44 @@ def test_kreweras_output_noncrossing():
             assert is_noncrossing(kreweras(pi).parts, n)
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_kreweras_twice_rotates_by_one(data):
+    n = data.draw(st.integers(1, 10))
+    pi = data.draw(st.sampled_from(enumerate_nc(n)))
+    rotated = NCPartition(n, [[(i - 2) % n + 1 for i in p] for p in pi.parts])
+    assert kreweras(kreweras(pi)) == rotated
+
+
 # ---------------------------------------------------------------------------
 # moment oracle
 # ---------------------------------------------------------------------------
+
+def _reference_part_tree(pi):
+    """The oracle's part tree, rebuilt from kreweras and part_of on every call."""
+    pistar = kreweras(pi)
+    pof, qof = pi.part_of(), pistar.part_of()
+    black_whites = {b: [] for b in range(len(pi.parts))}
+    white_slots = {w: [] for w in range(len(pistar.parts))}  # white -> [(elem, black)]
+    for i in range(1, pi.n + 1):
+        black_whites[pof[i]].append(qof[i])
+        white_slots[qof[i]].append((i, pof[i]))
+    slots = {w: [b for _, b in sorted(s)] for w, s in white_slots.items()}
+    return pistar, pof[1], black_whites, slots
+
+
+def test_cached_part_tree_leaves_oracle_bitwise_unchanged(h_profiles_64, monkeypatch):
+    kernels = [wigner_kernel(1.0), haar_kernel(bernoulli_cumulants()), smooth_kernel(0)]
+
+    def values():
+        return [float(f(kern, h, n, *x, 64)).hex()
+                for kern in kernels for h in h_profiles_64.values() for n in range(1, 7)
+                for f, x in ((moment_oracle, ()), (marked_moment_oracle, (0.3,)))]
+
+    cached = values()
+    monkeypatch.setattr(ncpart, "_part_tree", _reference_part_tree)
+    assert cached == values()
+
 
 def test_constant_kernel_reproduces_moment_cumulant_relation():
     rng = np.random.default_rng(3)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,7 +34,7 @@ from subspectra.freeprob import richardson_extrapolate
 from subspectra.grids import midpoints
 from subspectra.kernels import LocalCumulantKernel
 
-from conftest import smooth_kernel
+from conftest import bernoulli_cumulants, smooth_kernel
 
 
 def test_wigner_closed_form_at_three():
@@ -98,6 +101,56 @@ def test_moment_series_qssep_first():
     assert abs(phis[0] - 0.5) < 1e-9
 
 
+def _reference_moment_series(kern, h_vals, n_max, nodes=24, circle_factor=3.0, tol=1e-13):
+    """moment_series as a per-node loop: one fixed_point_solve per circle node,
+    each warm-started from the node before."""
+    big_r = circle_factor * max(sv.estimate_radius(kern, h_vals), 1e-6)
+    u = np.exp(2j * np.pi * np.arange(nodes) / nodes) / big_r
+    samples, state = [], None
+    for z in 1.0 / u:
+        state = fixed_point_solve(kern, h_vals, z, warm_start=state, tol=tol)
+        samples.append(z * sv.resolvent_from_state(state, h_vals))
+    coeffs = np.fft.fft(samples) / nodes * big_r ** np.arange(nodes)
+    return coeffs[1:n_max + 1].real
+
+
+@pytest.mark.parametrize("kern", [
+    wigner_kernel(1.0), haar_kernel(bernoulli_cumulants()), smooth_kernel(0), qssep_kernel(),
+], ids=["wigner", "haar", "smooth", "qssep"])
+def test_batched_moment_series_matches_per_node_loop(kern, h_profiles_64, monkeypatch):
+    handed = []
+    scalar = sv.fixed_point_solve
+
+    def counted(*args, **kwargs):
+        handed.append(args[2])
+        return scalar(*args, **kwargs)
+
+    for name in ("full", "half", "smooth"):
+        h = h_profiles_64[name]
+        want = _reference_moment_series(kern, h.values, 6)
+        with monkeypatch.context() as m:
+            m.setattr(sv, "fixed_point_solve", counted)
+            got = moment_series(kern, h, 6).asarray()
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9, err_msg=name)
+    assert handed == []  # every circle node converged in the batched solve
+
+
+def test_moment_series_names_failed_nodes():
+    """Nodes whose R0 has no solution fail in the batch and in the scalar hand-over."""
+    def r0(a, x, scratch):  # flat pair kernel, undefined where mean(a) points left
+        mean = a.mean(axis=-1)
+        left = mean.real < -0.1 * np.abs(mean)
+        if a.ndim == 1 and left:
+            raise NoSolutionError("left half-plane")
+        return np.where(left[..., None], np.nan, mean[..., None] + 0 * a)
+
+    kern = LocalCumulantKernel(name="right-half-plane", zero_beyond=2, r0_form=r0)
+    with pytest.raises(ConvergenceError, match=r"at 11 of 24 circle nodes, z = ") as err:
+        moment_series(kern, GridFunction.constant(1.0, 16), 2, resolution=16, radius=2.0)
+    named = [complex(z) for z in str(err.value).split("z = ")[1].split(", ")]
+    assert len(named) == 11 and all(z.real < -1.0 for z in named)
+
+
 def test_moment_series_order_limit():
     with pytest.raises(SizeLimitError):
         moment_series(wigner_kernel(1.0), GridFunction.constant(1.0, 16), 9)
@@ -116,23 +169,45 @@ def _generic_reference(tensors, a):
 
 @settings(max_examples=60, deadline=None)
 @given(G=st.integers(1, 24), top=st.sampled_from([2, 3]), complex_a=st.booleans(),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_generic_r0_and_f0_match_einsum(G, top, complex_a, seed):
+       k=st.sampled_from([None, 1, 4]), seed=st.integers(0, 2 ** 32 - 1))
+def test_generic_r0_and_f0_match_einsum(G, top, complex_a, k, seed):
+    # k is None for one 1-D profile, else the number of rows of a (k, G) stack
     rng = np.random.default_rng(seed)
-    tensors = [rng.normal(size=(G,) * k) for k in range(1, top + 1)]
+    tensors = [rng.normal(size=(G,) * n) for n in range(1, top + 1)]
 
     def fn(n, xs):  # the tensor entry at the grid cells of the coordinates
         return tensors[n - 1][tuple(np.rint(np.asarray(x) * G - 0.5).astype(int) for x in xs)]
 
     kern = LocalCumulantKernel(name="random-tensors", fn=fn, zero_beyond=top)
-    a = rng.normal(size=G) + (1j * rng.normal(size=G) if complex_a else 0.0)
-    b_ref, f_ref = _generic_reference(tensors, a)
-    # rounding scales with the sums of absolute terms, not with the results
-    b_abs, f_abs = _generic_reference([np.abs(t) for t in tensors], np.abs(a))
+    shape = (G,) if k is None else (k, G)
+    a = rng.normal(size=shape) + (1j * rng.normal(size=shape) if complex_a else 0.0)
     b = sv.r0_apply(kern, a)
-    assert b.shape == (G,) and np.iscomplexobj(b) == complex_a
-    assert np.all(np.abs(b - b_ref) <= 1e-12 * b_abs)
-    assert abs(sv.f0_value(kern, a) - f_ref) <= 1e-12 * f_abs
+    assert b.shape == shape and np.iscomplexobj(b) == complex_a
+    for row, b_row in zip(np.atleast_2d(a), np.atleast_2d(b)):
+        b_ref, f_ref = _generic_reference(tensors, row)
+        # rounding scales with the sums of absolute terms, not with the results
+        b_abs, f_abs = _generic_reference([np.abs(t) for t in tensors], np.abs(row))
+        assert np.all(np.abs(b_row - b_ref) <= 1e-12 * b_abs)
+        assert abs(sv.f0_value(kern, row) - f_ref) <= 1e-12 * f_abs
+
+
+def test_kernel_tensor_cache_is_bounded():
+    # distinct generic kernels fill the cache; it keeps the latest kernel's
+    # tensors of every order and lets the kernels it evicted be freed
+    sv._kernel_tensor.cache_clear()
+    a = np.full(16, 0.1 + 0.2j)
+    refs = []
+    for seed in range(5):
+        kern = smooth_kernel(seed)
+        sv.r0_apply(kern, a)
+        refs.append(weakref.ref(kern))
+    info = sv._kernel_tensor.cache_info()
+    assert info.currsize == info.maxsize == 3
+    sv.r0_apply(kern, a)
+    assert sv._kernel_tensor.cache_info().misses == info.misses
+    del kern
+    gc.collect()
+    assert [r() is None for r in refs] == [True] * 4 + [False]
 
 
 def test_generic_kernel_order_limit():
@@ -259,7 +334,9 @@ def test_stacked_r0_matches_rows(a):
     kernels = [qssep_kernel(), wigner_kernel(1.3),
                haar_kernel(free_cumulants([0.5, 0.25, 0.0, -0.125])),
                inhomogeneous_wigner_kernel(GridFunction.from_callable(lambda x: 1 + x / 2, G),
-                                           resolution=G)]
+                                           resolution=G),
+               LocalCumulantKernel(name="smooth-pair", fn=smooth_kernel(1).fn, zero_beyond=2),
+               smooth_kernel(0)]
     for kern in kernels:
         stacked = sv.r0_apply(kern, a)
         rows = np.stack([_r0_row(kern, row) for row in a])

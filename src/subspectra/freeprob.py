@@ -301,7 +301,8 @@ class SpectralDensity:
     the total-spectrum continuous part is ``block_fraction * rho`` and the
     atom at zero carries weight ``atom_weight = 1 - block_fraction``.
     Solver scans also record ``iterations``, the fixed-point iterations per
-    grid point, and ``fallbacks``, the solves handed to the scalar solver.
+    grid point, and ``fallbacks``, the continuation columns finished by
+    Newton-Krylov.
     """
 
     def __init__(self, lam, rho, atom_weight=0.0, block_fraction=1.0,
@@ -369,7 +370,8 @@ def richardson_extrapolate(eps_values, samples):
     """Extrapolate samples f(eps_k) to eps = 0 by Neville's polynomial scheme.
 
     Successive pairwise linear (Richardson) steps across the ladder; with a
-    k-point ladder the result is the degree k-1 polynomial value at 0.
+    k-point ladder the result is the degree k-1 polynomial value at 0 (a
+    one-point ladder returns its sample).
     """
     eps = np.asarray(eps_values, dtype=float)
     table = [np.asarray(s) for s in samples]
@@ -385,6 +387,18 @@ def richardson_extrapolate(eps_values, samples):
     return table[0]
 
 
+def checked_ladder(eps, eps_ladder):
+    """The Stieltjes offsets of a density: [eps], or the eps ladder when given.
+
+    Entries must be finite, positive and distinct (Richardson extrapolation
+    divides by their differences); DomainError otherwise.
+    """
+    ladder = [float(eps)] if eps_ladder is None else [float(e) for e in eps_ladder]
+    if not ladder or not all(0 < e < np.inf for e in ladder) or len(set(ladder)) < len(ladder):
+        raise DomainError(f"eps ladder entries must be positive and distinct, got {ladder}")
+    return ladder
+
+
 def density_from_resolvent(g_eval, lam_grid, eps=1e-3, eps_ladder=None):
     """Stieltjes inversion: rho(lam) = Im g(lam - i eps) / pi on a grid.
 
@@ -392,13 +406,8 @@ def density_from_resolvent(g_eval, lam_grid, eps=1e-3, eps_ladder=None):
     eps ladder the Poisson smoothing bias is removed by Richardson
     extrapolation toward eps = 0.
     """
+    ladder = checked_ladder(eps, eps_ladder)
     lam_grid = np.asarray(lam_grid, dtype=float)
-    if eps_ladder is None:
-        ladder = [float(eps)]
-    else:
-        ladder = [float(e) for e in eps_ladder]
-        if any(e <= 0 for e in ladder):
-            raise ValueError("eps ladder entries must be positive")
     rows = []
     for e in ladder:
         row = np.empty(lam_grid.size)
@@ -408,8 +417,4 @@ def density_from_resolvent(g_eval, lam_grid, eps=1e-3, eps_ladder=None):
                 raise ArithmeticError(f"resolvent not finite at {lam} - {e}i")
             row[i] = val.imag / np.pi
         rows.append(row)
-    if len(rows) == 1:
-        rho = rows[0]
-    else:
-        rho = richardson_extrapolate(ladder, rows)
-    return SpectralDensity(lam_grid, rho)
+    return SpectralDensity(lam_grid, richardson_extrapolate(ladder, rows))

@@ -19,7 +19,7 @@ ensembles), or through order <= 3 tensor quadrature.
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,11 +32,13 @@ from .errors import (
     SizeLimitError,
     UnsupportedOrderError,
 )
-from .freeprob import MOMENTS, FormalSeries, SpectralDensity, richardson_extrapolate
+from .freeprob import (MOMENTS, FormalSeries, SpectralDensity, checked_ladder,
+                       richardson_extrapolate)
 from .grids import as_grid_values, checked_weight, midpoints
 from .kernels import kernel_tensor
 
 GENERIC_MAX_ORDER = 3
+RELAX_BUDGET = 400  # relaxation iterations per column before Newton-Krylov
 
 
 @dataclass
@@ -170,101 +172,39 @@ def f0_value(kern, a, resolution=None, scratch=None):
 # fixed point
 # ---------------------------------------------------------------------------
 
-def fixed_point_solve(kern, h, z, warm_start=None, tol=1e-10, max_iter=8000,
-                      damping=0.5, anderson_depth=4, resolution=None):
+def fixed_point_solve(kern, h, z, warm_start=None, tol=1e-10, resolution=None):
     """Solve the stationarity pair (a, b) at spectral parameter z.
 
-    Damped alternating updates: a is recomputed exactly from b, then b is
-    relaxed toward R0[a], with Anderson mixing over the last few iterates to
-    remove the critical slowdown near spectral edges.  Kernels whose
-    linearized update map is expanding (the closed-form exclusion-process
-    path at small Im z) defeat every damped relaxation, so a matrix-free
-    Newton-Krylov fallback takes over when the relaxation stalls or blows
-    up.  The returned state satisfies both relations to sup-norm tol.
-    Deterministic for fixed inputs and settings.
+    One column of the engine _solve_columns, from warm_start or cold.  The
+    returned state satisfies both relations to sup-norm tol; otherwise the
+    column's BranchError, NoSolutionError or ConvergenceError (carrying the
+    last residual) is raised.  Deterministic for fixed inputs and settings.
     """
     h_vals = checked_weight(h, resolution)
-    G = h_vals.size
-    z = complex(z)
-    if warm_start is not None and warm_start.b.size == G:
-        b = warm_start.b.astype(complex)
-        scratch = dict(warm_start.scratch)
-    else:
-        scratch = {}
-        b = np.asarray(r0_apply(kern, np.zeros(G), scratch=scratch), dtype=complex)
+    (state,), _ = _solve_columns(kern, h_vals, [complex(z)], [warm_start], tol)
+    if not isinstance(state, FixedPointState):
+        raise state
+    return state
 
-    def apply_map(b_cur):
-        denom = z - h_vals * b_cur
-        if np.any(np.abs(denom) < 1e-13 * max(1.0, abs(z))):
-            raise BranchError(
-                f"z - h*b vanished (z={z}); off the physical branch")
-        a_cur = h_vals / denom
-        return a_cur, np.asarray(r0_apply(kern, a_cur, scratch=scratch), dtype=complex)
 
-    relax_budget = min(max_iter, 400)
-    hist_b = []
-    hist_g = []
-    res_best = np.inf
-    b_best = b
-    eta = damping
-    b_good = None
-    fails = 0
-    it = 0
-    while it < relax_budget:
-        it += 1
-        try:
-            a, g = apply_map(b)
-            fails = 0
-        except (BranchError, NoSolutionError):
-            # an accelerated step left the kernel's admissible region;
-            # bisect back toward the last mappable iterate
-            if b_good is None:
-                raise
-            fails += 1
-            if fails > 40:
-                break
-            hist_b.clear()
-            hist_g.clear()
-            eta = max(eta * 0.5, 1e-3)
-            b = 0.5 * (b + b_good)
-            continue
-        b_good = b
-        res = float(np.max(np.abs(g - b)))
-        if res <= tol:
-            return FixedPointState(z=z, a=a, b=b, residual=res,
-                                   iterations=it, scratch=scratch)
-        if res < res_best:
-            res_best = res
-            b_best = b
-        elif res > 100.0 * res_best:
-            break  # relaxation is diverging; hand over to Newton
-        if res > 10.0 * res_best:
-            hist_b.clear()
-            hist_g.clear()
-            eta = max(eta * 0.5, 1e-3)
-        hist_b.append(b)
-        hist_g.append(g)
-        if len(hist_b) > anderson_depth + 1:
-            hist_b.pop(0)
-            hist_g.pop(0)
-        m = len(hist_b) - 1
-        stepped = False
-        if m >= 1 and it > 3:
-            # Anderson type-II: minimize the combined residual over the history
-            R = np.stack([hist_g[i] - hist_b[i] for i in range(m + 1)], axis=1)
-            dR = R[:, 1:] - R[:, :-1]
-            gamma, *_ = np.linalg.lstsq(dR, R[:, -1], rcond=None)
-            if np.all(np.isfinite(gamma)) and np.max(np.abs(gamma)) < 50.0:
-                alpha = np.zeros(m + 1, dtype=complex)
-                alpha[-1] = 1.0
-                alpha[1:] -= gamma
-                alpha[:-1] += gamma
-                b = sum(alpha[i] * hist_g[i] for i in range(m + 1))
-                stepped = True
-        if not stepped:
-            b = (1.0 - eta) * b + eta * g
-    return _newton_krylov(apply_map, b_best, z, scratch, tol,
-                          iterations_used=it)
+def _wrong_side(im_denom, z):
+    """Whether Im(z - h b) (last axis) has the sign of -Im z in some cell.
+
+    Each 1/(z - h b) is a diagonal resolvent entry, whose Im has the sign of
+    -Im z (Herglotz); Anderson and Newton steps that cross find the other root.
+    """
+    return np.any(im_denom * np.sign(np.imag(z))[..., None] < 0, axis=-1)
+
+
+def _branch_map(kern, h_vals, z, scratch):
+    """The update map b -> (a, R0[a]), a = h / (z - h b), of one column."""
+    def apply_map(b):
+        denom = z - h_vals * b
+        if np.any(np.abs(denom) < 1e-13 * max(1.0, abs(z))) or _wrong_side(denom.imag, z):
+            raise BranchError(f"z - h*b left the physical branch (z={z})")
+        a = h_vals / denom
+        return a, np.asarray(r0_apply(kern, a, scratch=scratch), dtype=complex)
+    return apply_map
 
 
 def _newton_krylov(apply_map, b0, z, scratch, tol, iterations_used=0,
@@ -379,8 +319,8 @@ def moment_series(kern, h, n_max, resolution=64, radius=None, nodes=24,
     big_r = circle_factor * max(radius, 1e-6)
     u = np.exp(2j * np.pi * np.arange(nodes) / nodes) / big_r
     zs = 1.0 / u
-    states, _ = _solve_columns(kern, h_vals, zs, [None] * nodes, tol, max_iter=8000)
-    failed = [complex(z) for z, st in zip(zs, states) if st is None]
+    states, _ = _solve_columns(kern, h_vals, zs, [None] * nodes, tol)
+    failed = [complex(z) for z, st in zip(zs, states) if not isinstance(st, FixedPointState)]
     if failed:
         raise ConvergenceError(
             f"moment_series: no convergence at {len(failed)} of {nodes} circle nodes, "
@@ -398,29 +338,27 @@ def moment_series(kern, h, n_max, resolution=64, radius=None, nodes=24,
 # batched fixed point
 # ---------------------------------------------------------------------------
 
-def _solve_columns(kern, h_vals, zs, warm, tol, max_iter):
-    """fixed_point_solve at k spectral parameters at once, as one (k, G) iteration.
+def _solve_columns(kern, h_vals, zs, warm, tol):
+    """The fixed-point engine: k spectral parameters at once, as one (k, G) iteration.
 
-    The engine behind moment_series (its circle nodes, all cold) and the
-    density scans (continuation columns, warm after their first point).  A
-    column with no usable warm start starts cold from R0[0], evaluated once
-    and shared by all cold columns, each with its own copy of the scratch.
-    Each column runs the damped relaxation and Anderson type-II mixing of
-    fixed_point_solve, at its default damping and depth, with its own
-    history, damping and divergence checks;
-    the k small least-squares problems are solved through their Gram
-    matrices in one batched call, by pseudo-inverse (eigenvalues below
-    1e-13 of the largest dropped), which also covers the rank-deficient
-    histories of constant kernels.  A column is frozen at its first iterate
-    with residual <= tol.  A column that leaves the branch, diverges or
-    spends the relaxation budget is handed alone to fixed_point_solve from
-    its warm start, which keeps the bisection and Newton-Krylov fallbacks in
-    one place.  No row's arithmetic depends on another, so the result does
-    not depend on k; the one exception is tensor quadrature, whose BLAS
-    products round each row according to the stack size.
+    Behind fixed_point_solve (one column), moment_series (its circle nodes,
+    all cold) and the density scans (continuation columns, warm after their
+    first point).  Cold columns start from R0[0], evaluated once, each with
+    its own copy of the scratch.  Each column runs damped relaxation
+    (damping 0.5) with Anderson type-II mixing (depth 4) and its own
+    history, damping and divergence checks; the k small least-squares
+    problems are solved in one batched call, by pseudo-inverse of their Gram
+    matrices (eigenvalues below 1e-13 of the largest dropped), which also
+    covers the rank-deficient histories of constant kernels.  A column is
+    frozen at its first iterate with residual <= tol.  A column that leaves
+    the branch, diverges or spends the relaxation budget is finished by
+    Newton-Krylov from its best iterate.  No row's arithmetic depends on
+    another, except that tensor quadrature rounds by stack size (BLAS).
 
-    Returns (states, handed): one FixedPointState per column, None where
-    fixed_point_solve failed too, and the number of columns handed over.
+    Returns (states, handed): per column a FixedPointState or the error that
+    ended it (BranchError or NoSolutionError when no iterate could be
+    mapped, else ConvergenceError), and the number of columns handed to
+    Newton-Krylov.
     """
     k, G = len(zs), h_vals.size
     depth = 5  # Anderson depth 4, plus the newest entry
@@ -431,20 +369,20 @@ def _solve_columns(kern, h_vals, zs, warm, tol, max_iter):
         cold_b = r0_apply(kern, np.zeros(G), scratch=cold_scratch)
     scratch = [dict(cold_scratch) if c else dict(w.scratch) for c, w in zip(cold, warm)]
     b = np.array([cold_b if c else w.b for c, w in zip(cold, warm)], dtype=complex)
-    budget = min(max_iter, 400)
-    states, spent = [None] * k, {}
-    # per active row: column, z, damping, best residual, history length, and
-    # the history itself: slots 0..depth-2 hold the latest differences of the
+    states, handed = [None] * k, []
+    # per active row: column, z, damping, best residual and iterate, history
+    # length and history: slots 0..depth-2 hold the latest differences of the
     # residuals f (of the map values g) in circular order, slot -1 the newest.
     col, zc = np.arange(k), z
-    eta, res_best = np.full(k, 0.5), np.full(k, np.inf)
+    eta, res_best, b_best = np.full(k, 0.5), np.full(k, np.inf), b.copy()
     n_hist = np.zeros(k, dtype=int)
     hist_f = np.zeros((k, depth, G), dtype=complex)
     hist_g = np.zeros((k, depth, G), dtype=complex)
     slots = np.arange(depth - 1)
-    for it in range(1, budget + 1):
+    for it in range(1, RELAX_BUDGET + 1):
         denom = zc[:, None] - h_vals * b
-        off = np.min(np.abs(denom), axis=1) < 1e-13 * np.maximum(1.0, np.abs(zc))
+        off = (np.min(np.abs(denom), axis=1) < 1e-13 * np.maximum(1.0, np.abs(zc))) \
+            | _wrong_side(denom.imag, zc)
         if off.any():
             denom[off] = 1.0
         a = h_vals / denom
@@ -457,15 +395,19 @@ def _solve_columns(kern, h_vals, zs, warm, tol, max_iter):
             states[col[r]] = FixedPointState(z=complex(zc[r]), a=a[r].copy(), b=b[r].copy(),
                                              residual=float(res[r]), iterations=it,
                                              scratch=scratch[r])
-        improved = res < res_best
+        improved = ~bad & (res < res_best)
         res_best = np.where(improved, res, res_best)
+        np.copyto(b_best, b, where=improved[:, None])
+        unmapped = bad & np.isinf(res_best)
+        for r in np.flatnonzero(unmapped):
+            states[col[r]] = (BranchError(f"z - h*b left the physical branch (z={zc[r]})")
+                              if off[r] else NoSolutionError(f"R0 has no solution at z={zc[r]}"))
         bad |= ~improved & (res > 100.0 * res_best)
-        for r in np.flatnonzero(bad):
-            spent[col[r]] = it
+        handed += [(col[r], b_best[r], scratch[r], it) for r in np.flatnonzero(bad & ~unmapped)]
         keep = ~(bad | done)
         if not keep.all():
             col, zc, b, g, f, res = col[keep], zc[keep], b[keep], g[keep], f[keep], res[keep]
-            eta, res_best, n_hist = eta[keep], res_best[keep], n_hist[keep]
+            eta, res_best, b_best, n_hist = eta[keep], res_best[keep], b_best[keep], n_hist[keep]
             hist_f = hist_f[keep]  # one at a time: the old copy goes before the next
             hist_g = hist_g[keep]
             scratch = [sc for sc, kp in zip(scratch, keep) if kp]
@@ -494,33 +436,32 @@ def _solve_columns(kern, h_vals, zs, warm, tol, max_iter):
             inv = np.divide(1.0, ev, out=np.zeros_like(ev), where=ev > 1e-13 * ev[:, -1:])
             coef = inv * (np.conj(vec.transpose(0, 2, 1)) @ rhs[..., None])[..., 0]
             gamma = (vec @ coef[..., None])[..., 0]
-            accept = (n_hist >= 2) & np.all(np.isfinite(gamma), axis=1) \
-                & (np.max(np.abs(gamma), axis=1) < 50.0)
             b_mix = g - (gamma[:, None, :] @ hist_g[:, :-1])[:, 0]
+            accept = (n_hist >= 2) & np.all(np.isfinite(gamma), axis=1) \
+                & (np.max(np.abs(gamma), axis=1) < 50.0) \
+                & ~_wrong_side(zc.imag[:, None] - h_vals * b_mix.imag, zc)
         if accept.all():
             b = b_mix
         else:
             b = (1.0 - eta[:, None]) * b + eta[:, None] * g
             if accept.any():
                 b[accept] = b_mix[accept]
-    for c in col:
-        spent[c] = budget
-    for c in sorted(spent):
+    handed += [(c, b_best[r], scratch[r], RELAX_BUDGET) for r, c in enumerate(col)]
+    for c, b0, sc, spent in handed:
+        z_c = complex(z[c])
         try:
-            st = fixed_point_solve(kern, h_vals, z[c], warm_start=warm[c], tol=tol,
-                                   max_iter=max_iter)
-        except (ConvergenceError, BranchError, NoSolutionError):
-            continue
-        states[c] = replace(st, iterations=st.iterations + spent[c])
-    return states, len(spent)
+            states[c] = _newton_krylov(_branch_map(kern, h_vals, z_c, sc), b0, z_c, sc, tol,
+                                       iterations_used=spent)
+        except (ConvergenceError, BranchError, NoSolutionError) as exc:
+            states[c] = exc
+    return states, len(handed)
 
 
 # ---------------------------------------------------------------------------
 # spectral density
 # ---------------------------------------------------------------------------
 
-def _scan_columns(kern, h_vals, lam_grid, ladder, tol, max_iter, chunk,
-                  anneal_start, anneal_steps):
+def _scan_columns(kern, h_vals, lam_grid, ladder, tol, chunk, anneal_start, anneal_steps):
     """Every (chunk, eps) continuation column of a density scan, in lock-step.
 
     Column c walks its chunk of the grid at its eps, each lambda warm-started
@@ -528,7 +469,7 @@ def _scan_columns(kern, h_vals, lam_grid, ladder, tol, max_iter, chunk,
     along geomspace(anneal_start, eps, anneal_steps).  Each round solves the
     next z of every live column in one _solve_columns call.  Returns the
     density rows (one per eps), the gap mask, the iterations per lambda
-    summed over rungs, and the number of columns handed to the scalar solver.
+    summed over rungs, and the number of columns finished by Newton-Krylov.
     """
     L = lam_grid.size
     mask = h_vals > 0
@@ -552,11 +493,12 @@ def _scan_columns(kern, h_vals, lam_grid, ladder, tol, max_iter, chunk,
                 anneal = states[c] is None and anneal_steps > 0
                 todo[c] = list(np.geomspace(anneal_start, e, anneal_steps)) if anneal else [e]
         zs = [complex(lam_grid[pos[c]], todo[c][0]) for c in live]
-        solved, handed = _solve_columns(kern, h_vals, zs, [states[c] for c in live],
-                                        tol, max_iter)
+        solved, handed = _solve_columns(kern, h_vals, zs, [states[c] for c in live], tol)
         fallbacks += handed
         for c, st in zip(live, solved):
             i = pos[c]
+            if not isinstance(st, FixedPointState):
+                st = None  # a gap; the column re-anneals at its next lambda
             states[c] = st
             if st is None:
                 gaps[i] = True
@@ -575,7 +517,7 @@ def _scan_columns(kern, h_vals, lam_grid, ladder, tol, max_iter, chunk,
 
 
 def spectral_density(kern, h, lam_grid, eps=1e-3, eps_ladder=None,
-                     resolution=None, tol=1e-10, max_iter=8000, chunk=64,
+                     resolution=None, tol=1e-10, chunk=64,
                      anneal_start=0.5, anneal_steps=6):
     """Spectral density of the weighted slice along a real grid.
 
@@ -588,9 +530,11 @@ def spectral_density(kern, h, lam_grid, eps=1e-3, eps_ladder=None,
     Richardson-extrapolated to the real axis.  Returns the block-normalized
     density together with the zero-eigenvalue atom weight 1 - ell carried by
     the total spectrum, the fixed-point iterations per lambda (summed over
-    the ladder) and the number of columns handed to the scalar solver.
-    Isolated convergence failures are marked as gaps, not fatal.
+    the ladder) and the number of columns finished by Newton-Krylov.  A bad
+    eps or ladder raises DomainError; isolated convergence failures are
+    marked as gaps, not fatal.
     """
+    ladder = checked_ladder(eps, eps_ladder)
     h_vals = checked_weight(h, resolution)
     lam_grid = np.asarray(lam_grid, dtype=float)
     mask = h_vals > 0
@@ -599,10 +543,9 @@ def spectral_density(kern, h, lam_grid, eps=1e-3, eps_ladder=None,
         return SpectralDensity(lam_grid, np.zeros(lam_grid.size), atom_weight=1.0,
                                block_fraction=0.0, iterations=np.zeros(lam_grid.size, dtype=int),
                                fallbacks=0)
-    ladder = [float(eps)] if eps_ladder is None else [float(e) for e in eps_ladder]
     rows, gaps, iterations, fallbacks = _scan_columns(
-        kern, h_vals, lam_grid, ladder, tol, max_iter, chunk, anneal_start, anneal_steps)
-    rho = rows[0] if len(ladder) == 1 else richardson_extrapolate(ladder, list(rows))
+        kern, h_vals, lam_grid, ladder, tol, chunk, anneal_start, anneal_steps)
+    rho = richardson_extrapolate(ladder, rows)
     dens = SpectralDensity(lam_grid, rho, atom_weight=1.0 - ell, block_fraction=ell,
                            gaps=gaps, iterations=iterations, fallbacks=fallbacks)
     dens.support = dens.detect_support()

@@ -33,7 +33,7 @@ def test_spectrum_wigner_writes_density_and_sidecar(tmp_path):
     assert side["atom_weight"] == 0.0
     assert side["gap_count"] == 0
     assert len(side["content_hash"]) == 64
-    # iterations per lambda, summed over rungs, and columns the scalar solver took over
+    # iterations per lambda, summed over rungs, and columns finished by Newton-Krylov
     assert len(side["solver"]["iterations"]) == 47 and min(side["solver"]["iterations"]) > 0
     assert side["solver"]["fallbacks"] == 0
 
@@ -65,6 +65,19 @@ def test_spectrum_qssep_emits_closed_form(tmp_path):
     assert (out / "closed_form.csv").exists()
     side = json.loads((out / "density.json").read_text())
     assert "closed_form_hash" in side
+
+
+@pytest.mark.parametrize("ladder", [[1e-3, 1e-3], [-1e-3]], ids=["repeated", "negative"])
+def test_bad_eps_ladder_exits_4_without_files(tmp_path, ladder):
+    # Richardson extrapolation divides by the differences of the rungs
+    cfg = write_cfg(tmp_path, "l.json", {
+        "ensemble": "wigner", "params": {"s": 1.0},
+        "h": {"type": "named", "name": "full"}, "grid": 32, "eps_ladder": ladder,
+        "lambda_grid": {"min": -1.0, "max": 1.0, "count": 5},
+    })
+    out = tmp_path / "l_out"
+    assert cli.main(["spectrum", "--config", cfg, "--out", str(out)]) == 4
+    assert not any(out.iterdir())
 
 
 def test_malformed_config_exits_2_without_files(tmp_path):

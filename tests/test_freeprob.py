@@ -167,6 +167,15 @@ def test_density_from_resolvent_avoiding_origin_pole():
     assert np.max(np.abs(dens.rho)) < 1e-2
 
 
+@pytest.mark.parametrize("eps,ladder", [
+    (1e-3, [1e-3, 1e-3]), (1e-3, [-1e-3]), (1e-3, []), (0.0, None), (float("nan"), None),
+])
+def test_bad_eps_ladder_is_a_domain_error(eps, ladder):
+    # Richardson extrapolation divides by the differences of the rungs
+    with pytest.raises(DomainError):
+        fp.density_from_resolvent(lambda z: 1.0 / z, [1.0], eps=eps, eps_ladder=ladder)
+
+
 def test_richardson_ladder_improves_pole_tail():
     def g(z):
         s = np.sqrt(z * z - 4.0 + 0j)

@@ -3,7 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subspectra import (
@@ -119,32 +119,37 @@ def _reference_moment_series(kern, h_vals, n_max, nodes=24, circle_factor=3.0, t
 ], ids=["wigner", "haar", "smooth", "qssep"])
 def test_batched_moment_series_matches_per_node_loop(kern, h_profiles_64, monkeypatch):
     handed = []
-    scalar = sv.fixed_point_solve
+    newton = sv._newton_krylov
 
-    def counted(*args, **kwargs):
-        handed.append(args[2])
-        return scalar(*args, **kwargs)
+    def counted(apply_map, b0, z, *args, **kwargs):
+        handed.append(z)
+        return newton(apply_map, b0, z, *args, **kwargs)
 
     for name in ("full", "half", "smooth"):
         h = h_profiles_64[name]
         want = _reference_moment_series(kern, h.values, 6)
         with monkeypatch.context() as m:
-            m.setattr(sv, "fixed_point_solve", counted)
+            m.setattr(sv, "_newton_krylov", counted)
             got = moment_series(kern, h, 6).asarray()
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9, err_msg=name)
-    assert handed == []  # every circle node converged in the batched solve
+    assert handed == []  # every circle node converged in the batched relaxation
 
 
-def test_moment_series_names_failed_nodes():
-    """Nodes whose R0 has no solution fail in the batch and in the scalar hand-over."""
-    def r0(a, x, scratch):  # flat pair kernel, undefined where mean(a) points left
+def _right_half_plane_kernel():
+    """A flat pair kernel whose R0 has no solution (NaN) where mean(a) points left."""
+    def r0(a, x, scratch):
         mean = a.mean(axis=-1)
         left = mean.real < -0.1 * np.abs(mean)
         if a.ndim == 1 and left:
             raise NoSolutionError("left half-plane")
         return np.where(left[..., None], np.nan, mean[..., None] + 0 * a)
 
-    kern = LocalCumulantKernel(name="right-half-plane", zero_beyond=2, r0_form=r0)
+    return LocalCumulantKernel(name="right-half-plane", zero_beyond=2, r0_form=r0)
+
+
+def test_moment_series_names_failed_nodes():
+    """Nodes whose R0 has no solution at their first iterate fail in the batch."""
+    kern = _right_half_plane_kernel()
     with pytest.raises(ConvergenceError, match=r"at 11 of 24 circle nodes, z = ") as err:
         moment_series(kern, GridFunction.constant(1.0, 16), 2, resolution=16, radius=2.0)
     named = [complex(z) for z in str(err.value).split("z = ")[1].split(", ")]
@@ -304,10 +309,91 @@ def test_lockstep_scan_matches_per_lambda_loop(kern, h, lam):
     np.testing.assert_array_equal(dens.gaps, gaps)
     assert np.all(np.abs(dens.rho - rho) <= 1e-8)
     # each column is frozen at its first converged iterate and mixes only its
-    # own history: no column needs the scalar solver, and the scan does no
+    # own history: no column needs Newton-Krylov, and the scan does no
     # more work than the per-lambda loop
     assert dens.fallbacks == 0
     assert dens.iterations.sum() <= 1.02 * iterations.sum()
+
+
+def _assert_stationary(kern, h_vals, state, tol=1e-10):
+    """The defining equations a = h / (z - h b) and R0[a] = b, to sup-norm tol."""
+    a, b = state.a, state.b
+    np.testing.assert_allclose(a, h_vals / (state.z - h_vals * b), rtol=1e-12, atol=1e-14)
+    b_check = sv.r0_apply(kern, a, scratch=dict(state.scratch))
+    assert state.residual <= tol and np.max(np.abs(b_check - b)) <= tol
+
+
+def test_newton_krylov_finishes_stalled_columns(monkeypatch):
+    # bulk points of the variance-profile scan stall the relaxation; Newton-Krylov
+    # finishes them from each column's best iterate
+    G = 64
+    kern = inhomogeneous_wigner_kernel(GridFunction.from_callable(lambda x: np.sqrt(1 + x / 2), G),
+                                       resolution=G)
+    h, lam = GridFunction.constant(1.0, G), np.linspace(-2.6, 2.6, 41)
+    solved, engine = [], sv._solve_columns
+
+    def recorded(*args):
+        states, handed = engine(*args)
+        solved.extend(states)
+        return states, handed
+
+    with monkeypatch.context() as m:
+        m.setattr(sv, "_solve_columns", recorded)
+        dens = spectral_density(kern, h, lam, eps=1e-3)
+    rho, gaps, _ = _reference_scan(kern, h.values, lam, [1e-3])
+    assert dens.fallbacks >= 1 and not dens.gaps.any() and not gaps.any()
+    assert np.all(np.abs(dens.rho - rho) <= 1e-8)
+    for state in solved:
+        _assert_stationary(kern, h.values, state)
+
+
+def test_fixed_point_solve_failures():
+    h = GridFunction.constant(1.0, 8)
+    with pytest.raises(BranchError):  # the cold start b = R0[0] = 0 makes z - h b vanish
+        fixed_point_solve(wigner_kernel(1.0), h, 0.0)
+    with pytest.raises(NoSolutionError):  # a = h / z points left at the first iterate
+        fixed_point_solve(_right_half_plane_kernel(), h, -2.0)
+
+    def r0(a, x, scratch):  # at z = i and h = 1, R0[a(b)] - b = 1 for every b
+        return 1 + 1j - 1 / np.where(a == 0, 1 / (1 + 1j), a)
+
+    no_fixed_point = LocalCumulantKernel(name="no-fixed-point", zero_beyond=2, r0_form=r0)
+    with pytest.raises(ConvergenceError) as err:
+        fixed_point_solve(no_fixed_point, h, 1j)
+    assert abs(err.value.residual - 1.0) < 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(G=st.integers(1, 32), re_z=st.floats(-3.0, 3.0),
+       im_z=st.floats(-2.0, 0.0).map(lambda p: 10.0 ** p), lower=st.booleans(),
+       family=st.sampled_from(["wigner", "qssep", "inhomogeneous"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(G=6, re_z=-2.3755830707453147, im_z=0.01, lower=False, family="inhomogeneous",
+         seed=773540173)
+@example(G=23, re_z=0.8406621463348696, im_z=0.01, lower=True, family="qssep",
+         seed=4177334704)
+def test_resolvent_herglotz_and_residual(G, re_z, im_z, lower, family, seed):
+    """A cold solve returns the physical root, stationary to tol, or raises.
+
+    The explicit examples are cold solves that Anderson or Newton steps take
+    to the root of the other branch (wrong Herglotz sign) unless the
+    half-plane branch guard stops them; about 1 in 75 random draws do, and
+    about 1 in 1 000 end in ConvergenceError.
+    """
+    rng = np.random.default_rng(seed)
+    h = rng.uniform(0.0, 1.5, size=G) * (rng.random(G) < 0.8)
+    kern = {"wigner": lambda: wigner_kernel(1.0), "qssep": qssep_kernel,
+            "inhomogeneous": lambda: inhomogeneous_wigner_kernel(
+                GridFunction(rng.uniform(0.5, 1.5, size=G)), resolution=G)}[family]()
+    z = complex(re_z, -im_z if lower else im_z)
+    try:
+        state = fixed_point_solve(kern, h, z)
+    except ConvergenceError:
+        return
+    _assert_stationary(kern, h, state)
+    g = resolvent(kern, h, z)
+    assert g == sv.resolvent_from_state(state, h)
+    assert g.imag * z.imag < 0
 
 
 @st.composite

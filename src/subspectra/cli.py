@@ -201,7 +201,7 @@ def read_density_csv(path):
 # ---------------------------------------------------------------------------
 
 SPECTRUM_KEYS = {"command", "ensemble", "params", "h", "grid", "eps", "eps_ladder",
-                 "lambda_grid", "seed", "emit_closed_form", "interval"}
+                 "lambda_grid", "emit_closed_form", "interval"}
 
 
 def cmd_spectrum(cfg, out_dir):
@@ -220,8 +220,7 @@ def cmd_spectrum(cfg, out_dir):
     dens = solver.spectral_density(kern, h, lam, eps=eps, eps_ladder=ladder)
     csv_path = os.path.join(out_dir, "density.csv")
     digest = write_csv(csv_path,
-                       {"lambda": dens.lam, "rho_block": np.nan_to_num(dens.rho),
-                        "rho_total": np.nan_to_num(dens.rho_total())},
+                       {"lambda": dens.lam, "rho_block": dens.rho, "rho_total": dens.rho_total()},
                        header_meta={"eps": _fmt(eps), "G": resolution})
     sidecar = {
         "config": cfg,
@@ -245,9 +244,8 @@ def cmd_spectrum(cfg, out_dir):
         closed = ensembles.qssep_subblock_density(spec, inner)
         cf_path = os.path.join(out_dir, "closed_form.csv")
         cf_digest = write_csv(cf_path,
-                              {"lambda": closed.lam,
-                               "rho_block": np.nan_to_num(closed.rho),
-                               "rho_total": np.nan_to_num(closed.rho_total())},
+                              {"lambda": closed.lam, "rho_block": closed.rho,
+                               "rho_total": closed.rho_total()},
                               header_meta={"path": "closed-form"})
         sidecar["closed_form_hash"] = cf_digest
         outputs.append(cf_path)
@@ -343,7 +341,7 @@ def cmd_simulate(cfg, out_dir):
     return EXIT_OK
 
 
-ORACLE_KEYS = {"command", "ensemble", "params", "h", "grid", "n_max", "seed"}
+ORACLE_KEYS = {"command", "ensemble", "params", "h", "grid", "n_max"}
 
 
 def cmd_oracle(cfg, out_dir):
@@ -374,7 +372,7 @@ def cmd_oracle(cfg, out_dir):
     return EXIT_OK
 
 
-DIAGNOSE_KEYS = {"command", "ensemble", "params", "h", "grid", "order", "seed"}
+DIAGNOSE_KEYS = {"command", "ensemble", "params", "h", "grid", "order"}
 
 
 def cmd_diagnose(cfg, out_dir):
@@ -442,7 +440,8 @@ def main(argv=None):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=".")
-        p.add_argument("--seed", type=int, default=None)
+        if name == "simulate":  # the only command that draws random numbers
+            p.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
 
     try:
@@ -451,7 +450,7 @@ def main(argv=None):
             raise ConfigError(
                 f"config command {cfg['command']!r} does not match "
                 f"subcommand {args.command!r}")
-        if args.seed is not None:
+        if getattr(args, "seed", None) is not None:
             cfg["seed"] = args.seed
         os.makedirs(args.out, exist_ok=True)
         return COMMANDS[args.command](cfg, args.out)

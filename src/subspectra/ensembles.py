@@ -19,7 +19,6 @@ from scipy.optimize import brentq
 
 from .errors import (
     DomainError,
-    NoSolutionError,
     RootTrackingError,
     SizeLimitError,
     UnsupportedOrderError,
@@ -57,12 +56,12 @@ def inhomogeneous_wigner_kernel(s_profile, resolution=400):
         raise DomainError("variance profile s(x) must be positive")
     s2 = np.asarray(s_vals, dtype=float) ** 2
 
-    def r0(a, x, scratch):
+    def r0(a, root):
         if a.shape[-1] != s2.size:
             raise ValueError(f"profile grid {s2.size} != solver grid {a.shape[-1]}")
         return s2 * a
 
-    def f0(a, x, scratch):
+    def f0(a, root):
         return np.mean(s2 * a * a) / 2.0
 
     return LocalCumulantKernel(name="inhomogeneous-wigner", fn=None,
@@ -194,64 +193,70 @@ def _qssep_eval(n, xs):
     return out if np.ndim(out) else float(out)
 
 
-def _qssep_w(i_vals, scratch=None, tol=1e-13):
-    """Root of mean(1/(w - I)) = 1 for the remaining-mass profile I.
+def _qssep_w(i_vals, root, tol=1e-13):
+    """Root w of mean(1/(w - I)) = 1 for each remaining-mass profile I of a (..., G) stack.
 
-    Real profiles use a bracketed search above max(I); complex profiles use
-    damped Newton seeded by the previous root of the continuation.
+    root, of shape i_vals.shape[:-1], holds the seeds on entry (NaN: none)
+    and the roots found on return, in place; the roots are also returned.
+    Complex rows run damped Newton together from their seeds; rows without
+    a seed, or not settled from it, then run it from 1 + mean(I), and rows
+    still unsettled track the root along the homotopy t I, t: 0 -> 1.  Real
+    rows use a bracketed search above max(I).  A row with no admissible root
+    comes back as NaN and keeps its seed.
     """
     i_vals = np.asarray(i_vals)
-    real_case = not np.iscomplexobj(i_vals) or float(np.max(np.abs(i_vals.imag))) < 1e-14
-    if real_case:
-        ir = i_vals.real
-        top = float(ir.max())
+    prof = i_vals.reshape(-1, i_vals.shape[-1])
+    seed = root.reshape(-1)
+    w = seed.copy()
+    settled = np.zeros(w.size, dtype=bool)
+    cplx = ~(np.max(np.abs(prof.imag), axis=-1) < 1e-14)
+    rows = np.flatnonzero(cplx & ~np.isnan(seed))
+    if rows.size:
+        w[rows], settled[rows] = _w_newton(seed[rows], prof[rows], tol)
+    rows = np.flatnonzero(cplx & ~settled)
+    if rows.size:
+        w[rows], settled[rows] = _w_newton(1.0 + prof[rows].mean(axis=-1), prof[rows], tol)
+    for r in np.flatnonzero(~settled):
+        w[r] = _w_homotopy(prof[r], tol) if cplx[r] else _w_bracketed(prof[r].real)
+    root[...] = np.where(np.isnan(w), seed, w).reshape(root.shape)
+    return w.reshape(root.shape)
 
-        def f(w):
-            return float(np.mean(1.0 / (w - ir))) - 1.0
 
-        lo = top + 1e-12 * max(1.0, abs(top))
-        while f(lo) < 0:
-            lo = top + (lo - top) * 0.25
-            if lo - top < 1e-300:
-                raise NoSolutionError("no admissible root above max(I)")
-        hi = top + 1.0
-        for _ in range(200):
-            if f(hi) < 0:
-                break
-            hi = top + 2.0 * (hi - top)
-        else:
-            raise NoSolutionError("remaining-mass equation has no root above max(I)")
-        w = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
-        if scratch is not None:
-            scratch["w"] = complex(w)
-        return complex(w)
+def _w_bracketed(ir):
+    """Root above max(I) of a real profile, by brentq; NaN when there is none."""
+    top = float(ir.max())
 
-    seeds = []
-    if scratch and "w" in scratch:
-        seeds.append(complex(scratch["w"]))
-    seeds.append(1.0 + complex(np.mean(i_vals)))
-    for w0 in seeds:
-        w, ok = _w_newton(np.array([w0]), i_vals[None], tol)
-        if ok[0]:
-            if scratch is not None:
-                scratch["w"] = w[0]
-            return w[0]
-    # homotopy fallback: grow the profile from zero and track the outer root
+    def f(w):
+        return float(np.mean(1.0 / (w - ir))) - 1.0
+
+    lo = top + 1e-12 * max(1.0, abs(top))
+    while f(lo) < 0:
+        lo = top + (lo - top) * 0.25
+        if lo - top < 1e-300:
+            return np.nan
+    hi = top + 1.0
+    for _ in range(200):
+        if f(hi) < 0:
+            break
+        hi = top + 2.0 * (hi - top)
+    else:
+        return np.nan
+    return brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
+
+
+def _w_homotopy(prof, tol):
+    """The outer root tracked from w = 1 along t I, t: 0 -> 1; NaN if the steps stall."""
     w, t, dt = 1.0 + 0.0j, 0.0, 0.25
     while t < 1.0:
         t_next = min(1.0, t + dt)
-        w_next, ok = _w_newton(np.array([w]), (t_next * i_vals)[None], tol, iters=50)
-        w_next, ok = w_next[0], ok[0]
-        if not ok:
+        w_next, ok = _w_newton(np.array([w]), (t_next * prof)[None], tol, iters=50)
+        if not ok[0]:
             dt *= 0.5
             if dt < 1e-5:
-                raise NoSolutionError(
-                    "continuation stalled on the remaining-mass equation")
+                return np.nan
             continue
-        w, t = w_next, t_next
+        w, t = w_next[0], t_next
         dt = min(0.5, dt * 1.6)
-    if scratch is not None:
-        scratch["w"] = w
     return w
 
 
@@ -311,31 +316,6 @@ def _w_newton(w, prof, tol, iters=60):
     return w, settled
 
 
-def _qssep_w_rows(i_vals, scratch, tol=1e-13):
-    """_qssep_w for each row of a (k, G) stack; scratch holds one dict per row.
-
-    Complex rows run the Newton of _qssep_w together, each from its own
-    seed; real rows, and rows that Newton does not settle, go through
-    _qssep_w itself with its homotopy fallback.  A row with no admissible
-    root comes back as NaN.
-    """
-    w = np.array([s.get("w", np.nan) for s in scratch], dtype=complex)
-    unseeded = np.isnan(w)
-    w[unseeded] = 1.0 + i_vals[unseeded].mean(axis=-1)
-    settled = np.zeros(w.size, dtype=bool)
-    rows = np.flatnonzero(np.max(np.abs(i_vals.imag), axis=-1) >= 1e-14)
-    w[rows], settled[rows] = _w_newton(w[rows], i_vals[rows], tol)
-    for r, sc in enumerate(scratch):
-        if settled[r]:
-            sc["w"] = w[r]
-            continue
-        try:
-            w[r] = _qssep_w(i_vals[r], sc, tol)
-        except NoSolutionError:
-            w[r] = np.nan
-    return w
-
-
 def _qssep_tail_integral(a):
     """I(x_k) = integral of a over (x_k, 1], consistent with the midpoint rule.
 
@@ -354,19 +334,16 @@ def _qssep_head_integral(f):
     return (head + 0.5 * f) / G
 
 
-def _qssep_r0(a, x, scratch):
+def _qssep_r0(a, root):
     i_vals = _qssep_tail_integral(np.asarray(a))
-    if i_vals.ndim == 1:
-        w = _qssep_w(i_vals, scratch)
-    else:
-        w = _qssep_w_rows(i_vals, scratch)[:, None]
-    return _qssep_head_integral(1.0 / (w - i_vals))
+    w = _qssep_w(i_vals, root)
+    return _qssep_head_integral(1.0 / (w[..., None] - i_vals))
 
 
-def _qssep_f0(a, x, scratch):
+def _qssep_f0(a, root):
     i_vals = _qssep_tail_integral(np.asarray(a))
-    w = _qssep_w(i_vals, scratch)
-    return w - 1.0 - np.mean(np.log(w - i_vals))
+    w = _qssep_w(i_vals, root)
+    return w - 1.0 - np.mean(np.log(w[..., None] - i_vals), axis=-1)
 
 
 def qssep_kernel():
@@ -389,7 +366,7 @@ def qssep_kernel():
 def qssep_f0(a, resolution=None):
     """Closed-form generating functional for a grid profile a."""
     a_vals = profile_values(a, resolution) if resolution else as_grid_values(a)
-    return complex(_qssep_f0(np.asarray(a_vals), None, {}))
+    return complex(_qssep_f0(np.asarray(a_vals), np.array(np.nan, dtype=complex)))
 
 
 def qssep_full_density(lam):

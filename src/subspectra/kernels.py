@@ -12,8 +12,15 @@ Optional structure flags let consumers pick fast paths:
                       order-n value available as ``constant_value(n)``.
 * ``zero_beyond``  -- g_n vanishes identically for n greater than this.
 * ``max_order``    -- orders above this are not evaluable at all (None = any).
-* ``r0_form/f0_form`` -- closed forms for the cumulant-generating functional
-                      and its gradient, used by the fixed-point solver.
+* ``r0_form/f0_form`` -- closed forms ``form(a, root)`` of the gradient of the
+                      cumulant-generating functional (on a profile or a (k, G)
+                      stack; a row it cannot solve comes back as NaN) and of
+                      its value (on a profile), used by the fixed-point solver.
+                      ``root``, a complex array of shape a.shape[:-1], carries
+                      a form's one hidden unknown per profile (the exclusion
+                      process's w): seeds on entry (NaN: none), the roots found
+                      on return, in place, like numpy's ``out=``.  Other forms
+                      ignore it.
 """
 
 import math
@@ -34,8 +41,8 @@ class LocalCumulantKernel:
     max_order: int | None = None
     constant: bool = False
     zero_beyond: int | None = None
-    r0_form: object = None       # callable (a, x, scratch) -> b values
-    f0_form: object = None       # callable (a, x, scratch) -> scalar
+    r0_form: object = None       # callable (a, root) -> b values
+    f0_form: object = None       # callable (a, root) -> F0 value(s)
 
     def supports(self, n):
         return self.max_order is None or n <= self.max_order

@@ -19,7 +19,7 @@ ensembles), or through order <= 3 tensor quadrature.
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,18 +39,27 @@ from .kernels import kernel_tensor
 
 GENERIC_MAX_ORDER = 3
 RELAX_BUDGET = 400  # relaxation iterations per column before Newton-Krylov
+MAX_NEWTON = 60  # Newton-Krylov steps per column
+ANNEAL_START, ANNEAL_STEPS = 0.5, 6  # density scans: imaginary parts geomspace(0.5, eps, 6)
+MOMENT_NODES = 24  # moment_series: circle nodes ...
+CIRCLE_FACTOR = 3.0  # ... on the circle of radius CIRCLE_FACTOR * spectral radius
 
 
 @dataclass
 class FixedPointState:
-    """Converged (a, b) pair at one spectral parameter."""
+    """Converged (a, b) pair at one spectral parameter.
+
+    root is the closed form's hidden unknown at a (the exclusion process's
+    w), the seed of the next solve warm-started from this state; NaN for
+    kernels without one.
+    """
 
     z: complex
     a: np.ndarray
     b: np.ndarray
     residual: float
     iterations: int
-    scratch: dict = field(default_factory=dict)
+    root: complex
 
 
 # ---------------------------------------------------------------------------
@@ -95,23 +104,22 @@ def _constant_orders(kern):
     return top
 
 
-def r0_apply(kern, a, resolution=None, scratch=None):
+def r0_apply(kern, a, resolution=None, root=None):
     """Apply the cumulant-functional gradient: b(x) = dF0/da(x).
 
     Dispatches to the kernel's closed form when available, to the power
     series in A = mean(a) for constant kernels, and to tensor quadrature
     (orders <= 3) otherwise.  A (k, G) stack of profiles gives one row of b
-    per row of a; its scratch is a list of k per-row dicts, and a row the
-    closed form cannot solve comes back as NaN.  Tensor quadrature contracts
-    the whole stack at once, one BLAS product per kernel order, so batched
-    solves (density scans, the circle nodes of moment_series) pay one call.
+    per row of a, and a row the closed form cannot solve comes back as NaN.
+    root is the closed form's complex array of shape a.shape[:-1]: seeds in
+    (NaN: none, as when root is None), roots out, in place (see kernels).
+    Tensor quadrature contracts the whole stack at once, one BLAS product
+    per kernel order, so batched solves (density scans, the circle nodes of
+    moment_series) pay one call.
     """
     a = as_grid_values(a, resolution)
-    G = a.shape[-1]
     if kern.r0_form is not None:
-        if scratch is None:
-            scratch = {} if a.ndim == 1 else [{} for _ in a]
-        return kern.r0_form(a, midpoints(G), scratch)
+        return kern.r0_form(a, _roots(a, root))
     if kern.constant:
         A = a.mean(axis=-1)
         top = _constant_orders(kern)
@@ -121,6 +129,10 @@ def r0_apply(kern, a, resolution=None, scratch=None):
         return np.full(a.shape, np.expand_dims(out, -1))
     b = sum(_generic_terms(kern, np.atleast_2d(a)))
     return b if a.ndim > 1 else b[0]
+
+
+def _roots(a, root):
+    return np.full(a.shape[:-1], np.nan, dtype=complex) if root is None else root
 
 
 def _generic_terms(kern, a):
@@ -151,15 +163,11 @@ def _generic_terms(kern, a):
     return terms
 
 
-def f0_value(kern, a, resolution=None, scratch=None):
-    """Value of the cumulant generating functional F0 at the profile a."""
+def f0_value(kern, a, resolution=None, root=None):
+    """Value of the cumulant generating functional F0 at the profile a (root as in r0_apply)."""
     a = as_grid_values(a, resolution)
-    G = a.size
-    x = midpoints(G)
-    if scratch is None:
-        scratch = {}
     if kern.f0_form is not None:
-        return kern.f0_form(a, x, scratch)
+        return kern.f0_form(a, _roots(a, root))
     if kern.constant:
         A = a.mean()
         top = _constant_orders(kern)
@@ -196,19 +204,21 @@ def _wrong_side(im_denom, z):
     return np.any(im_denom * np.sign(np.imag(z))[..., None] < 0, axis=-1)
 
 
-def _branch_map(kern, h_vals, z, scratch):
-    """The update map b -> (a, R0[a]), a = h / (z - h b), of one column."""
+def _branch_map(kern, h_vals, z, root):
+    """The update map b -> (a, R0[a]), a = h / (z - h b), of one column.
+
+    root (a 0-d complex array) carries the closed form's root from call to call.
+    """
     def apply_map(b):
         denom = z - h_vals * b
         if np.any(np.abs(denom) < 1e-13 * max(1.0, abs(z))) or _wrong_side(denom.imag, z):
             raise BranchError(f"z - h*b left the physical branch (z={z})")
         a = h_vals / denom
-        return a, np.asarray(r0_apply(kern, a, scratch=scratch), dtype=complex)
+        return a, np.asarray(r0_apply(kern, a, root=root), dtype=complex)
     return apply_map
 
 
-def _newton_krylov(apply_map, b0, z, scratch, tol, iterations_used=0,
-                   max_newton=60):
+def _newton_krylov(apply_map, b0, z, root, tol, iterations_used=0):
     """Matrix-free Newton on F(b) = R0[a(b)] - b with GMRES inner solves.
 
     Directional derivatives of the analytic update map are taken by complex
@@ -222,11 +232,11 @@ def _newton_krylov(apply_map, b0, z, scratch, tol, iterations_used=0,
     a, g = apply_map(b)
     F = g - b
     res = float(np.max(np.abs(F)))
-    for newton_it in range(1, max_newton + 1):
+    for newton_it in range(1, MAX_NEWTON + 1):
         if res <= tol:
             return FixedPointState(z=z, a=a, b=b, residual=res,
                                    iterations=iterations_used + newton_it,
-                                   scratch=scratch)
+                                   root=complex(root))
         scale = float(np.linalg.norm(b)) + 1.0
 
         def matvec(v):
@@ -295,12 +305,11 @@ def estimate_radius(kern, h, resolution=None):
     return 1.5 * (lin + 2.0 * math.sqrt(max(sup_h * inter, 0.0))) + 0.1
 
 
-def moment_series(kern, h, n_max, resolution=64, radius=None, nodes=24,
-                  circle_factor=3.0, tol=1e-13):
+def moment_series(kern, h, n_max, resolution=64, radius=None, tol=1e-13):
     """Trace moments of the weighted slice from the large-|z| resolvent.
 
     Samples z G(z) = sum phi_n u^n, u = 1/z, at the equispaced nodes
-    u_j = omega^j / R, R = circle_factor * radius, safely beyond the spectral
+    u_j = omega^j / R, R = CIRCLE_FACTOR * radius, safely beyond the spectral
     radius.  On these nodes the interpolation system is a discrete Fourier
     transform, so one FFT and a rescale by R^n give the coefficients: the
     trapezoidal rule for the Cauchy integral, perfectly conditioned where
@@ -316,7 +325,8 @@ def moment_series(kern, h, n_max, resolution=64, radius=None, nodes=24,
     h_vals = checked_weight(h, resolution)
     if radius is None:
         radius = estimate_radius(kern, h_vals)
-    big_r = circle_factor * max(radius, 1e-6)
+    nodes = MOMENT_NODES
+    big_r = CIRCLE_FACTOR * max(radius, 1e-6)
     u = np.exp(2j * np.pi * np.arange(nodes) / nodes) / big_r
     zs = 1.0 / u
     states, _ = _solve_columns(kern, h_vals, zs, [None] * nodes, tol)
@@ -343,17 +353,19 @@ def _solve_columns(kern, h_vals, zs, warm, tol):
 
     Behind fixed_point_solve (one column), moment_series (its circle nodes,
     all cold) and the density scans (continuation columns, warm after their
-    first point).  Cold columns start from R0[0], evaluated once, each with
-    its own copy of the scratch.  Each column runs damped relaxation
-    (damping 0.5) with Anderson type-II mixing (depth 4) and its own
-    history, damping and divergence checks; the k small least-squares
-    problems are solved in one batched call, by pseudo-inverse of their Gram
-    matrices (eigenvalues below 1e-13 of the largest dropped), which also
-    covers the rank-deficient histories of constant kernels.  A column is
-    frozen at its first iterate with residual <= tol.  A column that leaves
-    the branch, diverges or spends the relaxation budget is finished by
-    Newton-Krylov from its best iterate.  No row's arithmetic depends on
-    another, except that tensor quadrature rounds by stack size (BLAS).
+    first point).  Cold columns start from R0[0], evaluated once, and the
+    closed form's root there; warm columns from their state's b and root.
+    The roots of all columns travel as one (k,) array.  Each column runs
+    damped relaxation (damping 0.5) with Anderson type-II mixing (depth 4)
+    and its own history, damping and divergence checks; the k small
+    least-squares problems are solved in one batched call, by pseudo-inverse
+    of their Gram matrices (eigenvalues below 1e-13 of the largest dropped),
+    which also covers the rank-deficient histories of constant kernels.  A
+    column is frozen at its first iterate with residual <= tol.  A column
+    that leaves the branch, diverges or spends the relaxation budget is
+    finished by Newton-Krylov from its best iterate.  No row's arithmetic
+    depends on another, except that tensor quadrature rounds by stack size
+    (BLAS).
 
     Returns (states, handed): per column a FixedPointState or the error that
     ended it (BranchError or NoSolutionError when no iterate could be
@@ -364,10 +376,11 @@ def _solve_columns(kern, h_vals, zs, warm, tol):
     depth = 5  # Anderson depth 4, plus the newest entry
     z = np.asarray(zs, dtype=complex)
     cold = [w is None or w.b.size != G for w in warm]
+    root = np.array([np.nan if c else w.root for c, w in zip(cold, warm)], dtype=complex)
     if any(cold):
-        cold_scratch = {}
-        cold_b = r0_apply(kern, np.zeros(G), scratch=cold_scratch)
-    scratch = [dict(cold_scratch) if c else dict(w.scratch) for c, w in zip(cold, warm)]
+        cold_root = np.full((), np.nan, dtype=complex)
+        cold_b = r0_apply(kern, np.zeros(G), root=cold_root)
+        root[cold] = cold_root
     b = np.array([cold_b if c else w.b for c, w in zip(cold, warm)], dtype=complex)
     states, handed = [None] * k, []
     # per active row: column, z, damping, best residual and iterate, history
@@ -386,7 +399,7 @@ def _solve_columns(kern, h_vals, zs, warm, tol):
         if off.any():
             denom[off] = 1.0
         a = h_vals / denom
-        g = np.asarray(r0_apply(kern, a, scratch=scratch), dtype=complex)
+        g = np.asarray(r0_apply(kern, a, root=root), dtype=complex)
         f = g - b
         res = np.max(np.abs(f), axis=1)
         bad = off | ~np.isfinite(res)
@@ -394,7 +407,7 @@ def _solve_columns(kern, h_vals, zs, warm, tol):
         for r in np.flatnonzero(done):
             states[col[r]] = FixedPointState(z=complex(zc[r]), a=a[r].copy(), b=b[r].copy(),
                                              residual=float(res[r]), iterations=it,
-                                             scratch=scratch[r])
+                                             root=complex(root[r]))
         improved = ~bad & (res < res_best)
         res_best = np.where(improved, res, res_best)
         np.copyto(b_best, b, where=improved[:, None])
@@ -403,14 +416,14 @@ def _solve_columns(kern, h_vals, zs, warm, tol):
             states[col[r]] = (BranchError(f"z - h*b left the physical branch (z={zc[r]})")
                               if off[r] else NoSolutionError(f"R0 has no solution at z={zc[r]}"))
         bad |= ~improved & (res > 100.0 * res_best)
-        handed += [(col[r], b_best[r], scratch[r], it) for r in np.flatnonzero(bad & ~unmapped)]
+        handed += [(col[r], b_best[r], root[r], it) for r in np.flatnonzero(bad & ~unmapped)]
         keep = ~(bad | done)
         if not keep.all():
             col, zc, b, g, f, res = col[keep], zc[keep], b[keep], g[keep], f[keep], res[keep]
             eta, res_best, b_best, n_hist = eta[keep], res_best[keep], b_best[keep], n_hist[keep]
             hist_f = hist_f[keep]  # one at a time: the old copy goes before the next
             hist_g = hist_g[keep]
-            scratch = [sc for sc, kp in zip(scratch, keep) if kp]
+            root = root[keep]
             if col.size == 0:
                 break
         reset = res > 10.0 * res_best
@@ -446,11 +459,11 @@ def _solve_columns(kern, h_vals, zs, warm, tol):
             b = (1.0 - eta[:, None]) * b + eta[:, None] * g
             if accept.any():
                 b[accept] = b_mix[accept]
-    handed += [(c, b_best[r], scratch[r], RELAX_BUDGET) for r, c in enumerate(col)]
-    for c, b0, sc, spent in handed:
-        z_c = complex(z[c])
+    handed += [(c, b_best[r], root[r], RELAX_BUDGET) for r, c in enumerate(col)]
+    for c, b0, seed, spent in handed:
+        z_c, cell = complex(z[c]), np.array(seed)
         try:
-            states[c] = _newton_krylov(_branch_map(kern, h_vals, z_c, sc), b0, z_c, sc, tol,
+            states[c] = _newton_krylov(_branch_map(kern, h_vals, z_c, cell), b0, z_c, cell, tol,
                                        iterations_used=spent)
         except (ConvergenceError, BranchError, NoSolutionError) as exc:
             states[c] = exc
@@ -461,12 +474,12 @@ def _solve_columns(kern, h_vals, zs, warm, tol):
 # spectral density
 # ---------------------------------------------------------------------------
 
-def _scan_columns(kern, h_vals, lam_grid, ladder, tol, chunk, anneal_start, anneal_steps):
+def _scan_columns(kern, h_vals, lam_grid, ladder, tol, chunk):
     """Every (chunk, eps) continuation column of a density scan, in lock-step.
 
     Column c walks its chunk of the grid at its eps, each lambda warm-started
     from the one before; at the chunk start, and after a gap, it anneals in
-    along geomspace(anneal_start, eps, anneal_steps).  Each round solves the
+    along geomspace(ANNEAL_START, eps, ANNEAL_STEPS).  Each round solves the
     next z of every live column in one _solve_columns call.  Returns the
     density rows (one per eps), the gap mask, the iterations per lambda
     summed over rungs, and the number of columns finished by Newton-Krylov.
@@ -490,8 +503,8 @@ def _scan_columns(kern, h_vals, lam_grid, ladder, tol, chunk, anneal_start, anne
         for c in live:
             if todo[c] is None:
                 e = ladder[cols[c][0]]
-                anneal = states[c] is None and anneal_steps > 0
-                todo[c] = list(np.geomspace(anneal_start, e, anneal_steps)) if anneal else [e]
+                cold = states[c] is None
+                todo[c] = list(np.geomspace(ANNEAL_START, e, ANNEAL_STEPS)) if cold else [e]
         zs = [complex(lam_grid[pos[c]], todo[c][0]) for c in live]
         solved, handed = _solve_columns(kern, h_vals, zs, [states[c] for c in live], tol)
         fallbacks += handed
@@ -517,8 +530,7 @@ def _scan_columns(kern, h_vals, lam_grid, ladder, tol, chunk, anneal_start, anne
 
 
 def spectral_density(kern, h, lam_grid, eps=1e-3, eps_ladder=None,
-                     resolution=None, tol=1e-10, chunk=64,
-                     anneal_start=0.5, anneal_steps=6):
+                     resolution=None, tol=1e-10, chunk=64):
     """Spectral density of the weighted slice along a real grid.
 
     Scans z = lambda + i*eps with warm-start continuation inside fixed-size
@@ -544,7 +556,7 @@ def spectral_density(kern, h, lam_grid, eps=1e-3, eps_ladder=None,
                                block_fraction=0.0, iterations=np.zeros(lam_grid.size, dtype=int),
                                fallbacks=0)
     rows, gaps, iterations, fallbacks = _scan_columns(
-        kern, h_vals, lam_grid, ladder, tol, chunk, anneal_start, anneal_steps)
+        kern, h_vals, lam_grid, ladder, tol, chunk)
     rho = richardson_extrapolate(ladder, rows)
     dens = SpectralDensity(lam_grid, rho, atom_weight=1.0 - ell, block_fraction=ell,
                            gaps=gaps, iterations=iterations, fallbacks=fallbacks)
@@ -566,7 +578,7 @@ def grand_potential(kern, h, z, warm_start=None, **kwargs):
     h_vals = checked_weight(h, kwargs.get("resolution"))
     state = fixed_point_solve(kern, h_vals, z, warm_start=warm_start, **kwargs)
     bracket = np.mean(np.log(state.z - h_vals * state.b) + state.a * state.b)
-    return complex(bracket - f0_value(kern, state.a, scratch=state.scratch))
+    return complex(bracket - f0_value(kern, state.a, root=np.array(state.root)))
 
 
 def functional_derivative_check(kern, h, z, x_index, delta=1e-4, **kwargs):

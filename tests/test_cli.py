@@ -67,6 +67,45 @@ def test_spectrum_qssep_emits_closed_form(tmp_path):
     assert "closed_form_hash" in side
 
 
+def test_spectrum_gap_written_as_nan(tmp_path, monkeypatch):
+    # a point the solver could not converge is written as nan, never as a number
+    scan = cli.solver.spectral_density
+
+    def one_gap(*args, **kwargs):
+        dens = scan(*args, **kwargs)
+        dens.rho[3] = np.nan
+        dens.gaps[3] = True
+        return dens
+
+    monkeypatch.setattr(cli.solver, "spectral_density", one_gap)
+    cfg = write_cfg(tmp_path, "g.json", {
+        "ensemble": "wigner", "h": {"type": "named", "name": "full"}, "grid": 32,
+        "eps": 5e-3, "lambda_grid": {"min": -1.5, "max": 1.5, "count": 9},
+    })
+    out = tmp_path / "g"
+    assert cli.main(["spectrum", "--config", cfg, "--out", str(out)]) == 5
+    rows = (out / "density.csv").read_text().splitlines()[3:]
+    assert len(rows) == 9
+    assert rows[3].split(",")[1:] == ["nan", "nan"]
+    assert all("nan" not in row for i, row in enumerate(rows) if i != 3)
+    assert json.loads((out / "density.json").read_text())["gap_count"] == 1
+
+
+def test_seed_only_on_simulate(tmp_path, capsys):
+    # spectrum is deterministic: a seed key is an unknown key and --seed no option
+    payload = {"ensemble": "wigner", "h": {"type": "named", "name": "full"}, "grid": 32,
+               "lambda_grid": {"min": -1.0, "max": 1.0, "count": 5}}
+    seeded = write_cfg(tmp_path, "s.json", dict(payload, seed=1))
+    out = tmp_path / "s"
+    assert cli.main(["spectrum", "--config", seeded, "--out", str(out)]) == 2
+    assert "unknown keys ['seed']" in capsys.readouterr().err
+    plain = write_cfg(tmp_path, "p.json", payload)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spectrum", "--config", plain, "--out", str(out), "--seed", "1"])
+    assert exc.value.code == 2
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("ladder", [[1e-3, 1e-3], [-1e-3]], ids=["repeated", "negative"])
 def test_bad_eps_ladder_exits_4_without_files(tmp_path, ladder):
     # Richardson extrapolation divides by the differences of the rungs

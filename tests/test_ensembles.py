@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from subspectra import (
     GridFunction,
@@ -24,6 +26,7 @@ from subspectra import (
 )
 from subspectra import freeprob as fp
 from subspectra import solver as sv
+from subspectra.ensembles import _qssep_tail_integral, _qssep_w
 from subspectra.errors import DomainError, UnsupportedOrderError
 from subspectra.grids import midpoints
 
@@ -113,13 +116,53 @@ def test_qssep_f0_series_expansion():
 
 
 def test_qssep_w_root_monotone_in_amplitude():
-    from subspectra.ensembles import _qssep_tail_integral, _qssep_w
     G = 128
     roots = []
     for v in (0.05, 0.1, 0.2, 0.4):
         i_vals = _qssep_tail_integral(np.full(G, v))
-        roots.append(_qssep_w(i_vals).real)
+        roots.append(_qssep_w(i_vals, np.array(np.nan, dtype=complex)).real)
     assert all(b > a for a, b in zip(roots, roots[1:]))
+
+
+def _w_problem(seed):
+    """A (k, G) stack of remaining-mass profiles I of solver-like a = h / (z - h b),
+    some rows real, with per-row seeds: none (NaN), near the root, or arbitrary."""
+    rng = np.random.default_rng(seed)
+    k, G = rng.integers(1, 7), rng.integers(4, 49)
+    z = rng.uniform(-0.5, 2.5, size=(k, 1)) + 1j * 10.0 ** rng.uniform(-6, 0.5, size=(k, 1))
+    h = rng.uniform(0.0, 1.0, size=G) * (rng.random(G) < 0.8)
+    i_vals = _qssep_tail_integral(h / (z - h * rng.uniform(0.0, 1.5, size=(k, G))))
+    real = rng.random(k) < 0.3
+    i_vals[real] = i_vals[real].real
+    kind = rng.integers(0, 3, size=k)
+    near = _qssep_w(i_vals, np.full(k, np.nan, dtype=complex)) * (1 + 1e-3 * rng.normal(size=k))
+    seeds = np.where(kind == 0, np.nan, np.where(kind == 1, near, rng.normal(size=k) * (1 + 1j)))
+    return i_vals, seeds
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=st.integers(0, 2 ** 32 - 1).map(_w_problem))
+@example(problem=_w_problem(11514))  # row 2: an arbitrary seed and no root found
+def test_qssep_w_stack_rows_are_independent(problem):
+    """Each row of a stack gets bitwise the root, and keeps bitwise the seed slot,
+    that it gets alone; a finite root solves mean(1/(w - I)) = 1.
+
+    The residual is measured against the scale of the terms, as the Newton
+    stopping rule does, since 1/(w - I) can be large in cells near w.
+    """
+    i_vals, seeds = problem
+    root = seeds.copy()
+    w = _qssep_w(i_vals, root)
+    for r, (i_row, seed) in enumerate(zip(i_vals, seeds)):
+        alone = np.array(seed)
+        np.testing.assert_array_equal(w[r], _qssep_w(i_row, alone))
+        np.testing.assert_array_equal(root[r], alone)
+        if np.isnan(w[r]):
+            np.testing.assert_array_equal(root[r], seed)  # no root: the seed stays
+            continue
+        assert root[r] == w[r]
+        inv = 1.0 / (w[r] - i_row)
+        assert abs(inv.mean() - 1.0) <= 1e-12 * max(1.0, np.abs(inv).mean())
 
 
 def test_qssep_full_density_values():

@@ -22,6 +22,7 @@ from subspectra import (
     wigner_kernel,
 )
 from subspectra import solver as sv
+from subspectra.ensembles import _qssep_tail_integral, _qssep_w
 from subspectra.errors import (
     BranchError,
     ConvergenceError,
@@ -101,10 +102,11 @@ def test_moment_series_qssep_first():
     assert abs(phis[0] - 0.5) < 1e-9
 
 
-def _reference_moment_series(kern, h_vals, n_max, nodes=24, circle_factor=3.0, tol=1e-13):
+def _reference_moment_series(kern, h_vals, n_max, tol=1e-13):
     """moment_series as a per-node loop: one fixed_point_solve per circle node,
     each warm-started from the node before."""
-    big_r = circle_factor * max(sv.estimate_radius(kern, h_vals), 1e-6)
+    nodes = sv.MOMENT_NODES
+    big_r = sv.CIRCLE_FACTOR * max(sv.estimate_radius(kern, h_vals), 1e-6)
     u = np.exp(2j * np.pi * np.arange(nodes) / nodes) / big_r
     samples, state = [], None
     for z in 1.0 / u:
@@ -137,7 +139,7 @@ def test_batched_moment_series_matches_per_node_loop(kern, h_profiles_64, monkey
 
 def _right_half_plane_kernel():
     """A flat pair kernel whose R0 has no solution (NaN) where mean(a) points left."""
-    def r0(a, x, scratch):
+    def r0(a, root):
         mean = a.mean(axis=-1)
         left = mean.real < -0.1 * np.abs(mean)
         if a.ndim == 1 and left:
@@ -268,7 +270,7 @@ def test_batch_layout_does_not_change_results(kern, h, lam):
                                   np.concatenate([p.iterations for p in parts]))
 
 
-def _reference_scan(kern, h_vals, lam, ladder, chunk=64, anneal_start=0.5, anneal_steps=6):
+def _reference_scan(kern, h_vals, lam, ladder, chunk=64):
     """The per-lambda continuation loop, one fixed_point_solve at a time.
 
     Returns the Richardson-extrapolated density, the gap mask and the
@@ -282,7 +284,8 @@ def _reference_scan(kern, h_vals, lam, ladder, chunk=64, anneal_start=0.5, annea
         for start in range(0, lam.size, chunk):
             state = None
             for i in range(start, min(start + chunk, lam.size)):
-                path = np.geomspace(anneal_start, eps, anneal_steps) if state is None else [eps]
+                path = (np.geomspace(sv.ANNEAL_START, eps, sv.ANNEAL_STEPS)
+                        if state is None else [eps])
                 try:
                     for e in path:
                         state = fixed_point_solve(kern, h_vals, complex(lam[i], e),
@@ -319,7 +322,7 @@ def _assert_stationary(kern, h_vals, state, tol=1e-10):
     """The defining equations a = h / (z - h b) and R0[a] = b, to sup-norm tol."""
     a, b = state.a, state.b
     np.testing.assert_allclose(a, h_vals / (state.z - h_vals * b), rtol=1e-12, atol=1e-14)
-    b_check = sv.r0_apply(kern, a, scratch=dict(state.scratch))
+    b_check = sv.r0_apply(kern, a, root=np.array(state.root))
     assert state.residual <= tol and np.max(np.abs(b_check - b)) <= tol
 
 
@@ -347,6 +350,28 @@ def test_newton_krylov_finishes_stalled_columns(monkeypatch):
         _assert_stationary(kern, h.values, state)
 
 
+def test_state_root_is_w_of_its_own_profile(monkeypatch):
+    # every state of a small bulk scan, the one Newton-Krylov finishes included,
+    # carries the w of its own a; kernels without a hidden root carry NaN
+    solved, engine = [], sv._solve_columns
+
+    def recorded(*args):
+        states, handed = engine(*args)
+        solved.extend(states)
+        return states, handed
+
+    with monkeypatch.context() as m:
+        m.setattr(sv, "_solve_columns", recorded)
+        dens = spectral_density(qssep_kernel(), GridFunction.constant(1.0, 64),
+                                np.linspace(0.37, 0.58, 12), eps=1e-3)
+    assert dens.fallbacks >= 1 and not dens.gaps.any()
+    for state in solved:
+        w = _qssep_w(_qssep_tail_integral(state.a), np.array(np.nan, dtype=complex))
+        assert abs(state.root - w) <= 1e-11 * abs(w)
+    state = fixed_point_solve(wigner_kernel(1.0), GridFunction.constant(1.0, 16), 2.0 + 0.5j)
+    assert np.isnan(state.root)
+
+
 def test_fixed_point_solve_failures():
     h = GridFunction.constant(1.0, 8)
     with pytest.raises(BranchError):  # the cold start b = R0[0] = 0 makes z - h b vanish
@@ -354,7 +379,7 @@ def test_fixed_point_solve_failures():
     with pytest.raises(NoSolutionError):  # a = h / z points left at the first iterate
         fixed_point_solve(_right_half_plane_kernel(), h, -2.0)
 
-    def r0(a, x, scratch):  # at z = i and h = 1, R0[a(b)] - b = 1 for every b
+    def r0(a, root):  # at z = i and h = 1, R0[a(b)] - b = 1 for every b
         return 1 + 1j - 1 / np.where(a == 0, 1 / (1 + 1j), a)
 
     no_fixed_point = LocalCumulantKernel(name="no-fixed-point", zero_beyond=2, r0_form=r0)
@@ -406,13 +431,6 @@ def _profile_stacks(draw):
     return h / (z - h * rng.uniform(0.0, 1.5, size=(k, G)))
 
 
-def _r0_row(kern, row):
-    try:
-        return sv.r0_apply(kern, row)
-    except NoSolutionError:  # a stack reports the row as NaN instead
-        return np.full(row.size, np.nan)
-
-
 @settings(max_examples=40, deadline=None)
 @given(a=_profile_stacks())
 def test_stacked_r0_matches_rows(a):
@@ -425,7 +443,7 @@ def test_stacked_r0_matches_rows(a):
                smooth_kernel(0)]
     for kern in kernels:
         stacked = sv.r0_apply(kern, a)
-        rows = np.stack([_r0_row(kern, row) for row in a])
+        rows = np.stack([sv.r0_apply(kern, row) for row in a])
         assert stacked.shape == a.shape
         np.testing.assert_array_equal(np.isnan(stacked), np.isnan(rows))
         close = np.abs(stacked - rows) <= 1e-13 * np.maximum(1.0, np.abs(rows))
@@ -475,6 +493,6 @@ def test_weight_must_be_nonnegative():
 def test_residual_tolerance_contract():
     st = fixed_point_solve(qssep_kernel(), GridFunction.constant(1.0, 128), 1.5 + 0.2j)
     a_check = 1.0 / (st.z - st.b)
-    b_check = sv.r0_apply(qssep_kernel(), st.a, scratch=dict(st.scratch))
+    b_check = sv.r0_apply(qssep_kernel(), st.a, root=np.array(st.root))
     assert np.max(np.abs(st.a - a_check)) < 1e-12
     assert np.max(np.abs(np.asarray(b_check) - st.b)) <= 1e-10

@@ -30,7 +30,7 @@ from .errors import (
     StabilityError,
     UnsupportedOrderError,
 )
-from .grids import GridFunction
+from .grids import GridFunction, midpoints
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -81,6 +81,16 @@ def load_config(path):
     return cfg
 
 
+def _table_values(spec, where, resolution):
+    """The 'values' table of spec, resampled piecewise-constant onto the grid."""
+    vals = np.asarray(_get(spec, "values", list, where, required=True), dtype=float)
+    if vals.size == 0:
+        raise ConfigError(f"empty value table in {where}")
+    idx = np.clip((np.arange(resolution) + 0.5) / resolution * vals.size,
+                  0, vals.size - 1).astype(int)
+    return vals[idx]
+
+
 def build_h(spec, resolution):
     _require_keys(spec, {"type", "intervals", "values", "name"}, "h")
     kind = _get(spec, "type", str, "h", required=True)
@@ -88,13 +98,7 @@ def build_h(spec, resolution):
         ivals = _get(spec, "intervals", list, "h", required=True)
         return GridFunction.indicator([tuple(map(float, iv)) for iv in ivals], resolution)
     if kind == "table":
-        vals = np.asarray(_get(spec, "values", list, "h", required=True), dtype=float)
-        if vals.size != resolution:
-            # piecewise-constant table resampled onto the grid
-            idx = np.clip((np.arange(resolution) + 0.5) / resolution * vals.size,
-                          0, vals.size - 1).astype(int)
-            vals = vals[idx]
-        return GridFunction(vals)
+        return GridFunction(_table_values(spec, "h", resolution))
     if kind == "named":
         name = _get(spec, "name", str, "h", required=True)
         if name not in NAMED_H:
@@ -119,21 +123,20 @@ def build_kernel(cfg, resolution):
             name = _get(spec, "name", str, "s_squared", required=True)
             if name not in NAMED_PROFILES:
                 raise ConfigError(f"unknown variance profile {name!r}")
-            prof = GridFunction.from_callable(
-                lambda x: np.sqrt(NAMED_PROFILES[name](x)), resolution)
+            s2 = NAMED_PROFILES[name](midpoints(resolution))
         elif kind == "table":
-            vals = np.asarray(_get(spec, "values", list, "s_squared", required=True),
-                              dtype=float)
-            prof = GridFunction(np.sqrt(vals))
+            s2 = _table_values(spec, "s_squared", resolution)
         else:
             raise ConfigError(f"unknown s_squared type {kind!r}")
-        return ensembles.inhomogeneous_wigner_kernel(prof, resolution)
+        if not np.all(s2 > 0):
+            raise DomainError("variance profile s(x)^2 must be positive")
+        return ensembles.inhomogeneous_wigner_kernel(GridFunction(np.sqrt(s2)), resolution)
     if ens in ("haar", "custom"):
         _require_keys(params, {"cumulants", "atoms", "order"}, "params")
         if "cumulants" in params:
             kappa = freeprob.free_cumulants(params["cumulants"])
         elif "atoms" in params:
-            meas = freeprob.Measure1D.from_atoms([tuple(a) for a in params["atoms"]])
+            meas = freeprob.Measure1D(params["atoms"])
             kappa = meas.free_cumulants(_get(params, "order", int, "params", default=12))
         else:
             raise ConfigError(f"{ens} ensemble needs 'cumulants' or 'atoms'")
@@ -178,22 +181,31 @@ def _settings_hash(cfg):
 
 
 def read_density_csv(path):
+    """(lambda, rho) columns of a density CSV; gap (non-finite) rows are a ConfigError."""
     lam, rho = [], []
-    with open(path) as fh:
-        header = None
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = line.split(",")
-                continue
-            parts = line.split(",")
-            lam.append(float(parts[0]))
-            rho.append(float(parts[1]))
+    try:
+        with open(path) as fh:
+            header = None
+            for line in fh:
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if header is None:
+                    header = line.split(",")
+                    continue
+                parts = line.split(",")
+                lam.append(float(parts[0]))
+                rho.append(float(parts[1]))
+    except (OSError, ValueError, IndexError) as exc:
+        raise ConfigError(f"cannot read density file {path}: {exc}")
     if not lam:
         raise ConfigError(f"no data rows in {path}")
-    return np.asarray(lam), np.asarray(rho)
+    lam, rho = np.asarray(lam), np.asarray(rho)
+    bad = int(np.count_nonzero(~(np.isfinite(lam) & np.isfinite(rho))))
+    if bad:
+        raise ConfigError(f"{path} has {bad} non-finite rows (solver gaps); "
+                          "a density with gaps cannot be compared")
+    return lam, rho
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +285,9 @@ def cmd_simulate(cfg, out_dir):
     seed = _get(cfg, "seed", int, "config", default=0)
     interval = tuple(mc_cfg.get("interval", (0.0, 1.0)))
     bins = _get(mc_cfg, "bins", int, "mc", default=60)
+    ref = mc_cfg.get("reference")
+    ana = freeprob.SpectralDensity(*read_density_csv(ref)) if ref else None
+    qssep = None
 
     if ens == "qssep":
         realizations = _get(mc_cfg, "realizations", int, "mc", default=1)
@@ -286,12 +301,15 @@ def cmd_simulate(cfg, out_dir):
             rates=tuple(mc_cfg.get("rates", (0.0, 1.0, 1.0, 0.0))),
             seed=seed,
             snapshot_stride=_get(mc_cfg, "snapshot_stride", int, "mc", default=100),
-            integrator=mc_cfg.get("integrator", "euler"))
+            integrator=mc_cfg.get("integrator", "unitary"))
         eigs = []
+        qssep = {"hermiticity_drift": [], "stationarity_index": []}  # per realization
         for r in range(realizations):
             run = rmt_mc.qssep_run(dataclasses.replace(run_cfg, stream=r))
             for snap in run.snapshots:
                 eigs.append(rmt_mc.subblock_eigs(snap, interval))
+            qssep["hermiticity_drift"].append(run.hermiticity_drift)
+            qssep["stationarity_index"].append(run.stationarity_index)
         eigs = np.concatenate(eigs)
     elif ens == "wigner":
         n_dim = _get(mc_cfg, "n_dim", int, "mc", required=True)
@@ -311,7 +329,7 @@ def cmd_simulate(cfg, out_dir):
         atoms = params.get("atoms")
         if atoms is None:
             raise ConfigError("haar simulation needs params.atoms")
-        meas = freeprob.Measure1D.from_atoms([tuple(a) for a in atoms])
+        meas = freeprob.Measure1D(atoms)
         eigs = np.concatenate([
             rmt_mc.subblock_eigs(
                 rmt_mc.sample_haar_conjugated(n_dim, meas, seed, stream), interval)
@@ -330,10 +348,9 @@ def cmd_simulate(cfg, out_dir):
     sidecar = {"config": cfg, "count": int(eigs.size),
                "settings_hash": _settings_hash(cfg),
                "content_hash": digest, "histogram_hash": hist_digest}
-    ref = mc_cfg.get("reference")
-    if ref:
-        lam_ref, rho_ref = read_density_csv(ref)
-        ana = freeprob.SpectralDensity(lam_ref, rho_ref)
+    if qssep is not None:
+        sidecar["qssep"] = qssep
+    if ana is not None:
         sidecar["ks"] = rmt_mc.ks_distance(emp, ana)
         print(f"KS against {ref}: {sidecar['ks']:.6f}")
     write_sidecar(os.path.join(out_dir, "simulate.json"), sidecar)

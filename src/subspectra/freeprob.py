@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import DomainError, UndefinedSTransformError
 
-DEFAULT_ORDER = 12
+ATOM_WEIGHT_TOL = 1e-10  # how far the atom weights of a measure may sum from 1
+SUPPORT_THRESHOLD_FRAC = 0.01  # detected support: rho above this fraction of its peak
 
 MOMENTS = "moments"
 FREE_CUMULANTS = "free_cumulants"
@@ -211,54 +212,23 @@ def evaluate_k_of_g(kappa, m, z):
 # ---------------------------------------------------------------------------
 
 class Measure1D:
-    """A probability measure given by atoms, a sampled density, or samples."""
+    """A discrete probability measure: (location, weight) atoms."""
 
-    def __init__(self, atoms=None, density=None, samples=None, tol=1e-10):
-        reprs = sum(x is not None for x in (atoms, density, samples))
-        if reprs != 1:
-            raise ValueError("exactly one of atoms, density, samples required")
-        self.atoms = None
-        self.density = None
-        self.samples = None
-        if atoms is not None:
-            atoms = [(float(a), float(w)) for a, w in atoms]
-            if any(w < 0 for _, w in atoms):
-                raise ValueError("atom weights must be nonnegative")
-            if abs(sum(w for _, w in atoms) - 1.0) > tol:
-                raise ValueError("atom weights must sum to 1")
-            self.atoms = sorted(atoms)
-        elif density is not None:
-            lam, rho = density
-            lam = np.asarray(lam, dtype=float)
-            rho = np.asarray(rho, dtype=float)
-            if np.any(rho < -1e-12):
-                raise ValueError("density must be nonnegative")
-            mass = np.trapezoid(rho, lam)
-            if abs(mass - 1.0) > 1e-2:
-                raise ValueError(f"density mass {mass} too far from 1")
-            self.density = (lam, np.maximum(rho, 0.0) / mass)
-        else:
-            self.samples = np.sort(np.asarray(samples, dtype=float))
-
-    @classmethod
-    def from_atoms(cls, atoms):
-        return cls(atoms=atoms)
+    def __init__(self, atoms):
+        atoms = [(float(a), float(w)) for a, w in atoms]
+        if any(w < 0 for _, w in atoms):
+            raise ValueError("atom weights must be nonnegative")
+        if abs(sum(w for _, w in atoms) - 1.0) > ATOM_WEIGHT_TOL:
+            raise ValueError("atom weights must sum to 1")
+        self.atoms = sorted(atoms)
 
     @classmethod
     def bernoulli(cls, p=0.5, hi=1.0, lo=0.0):
-        return cls(atoms=[(lo, 1.0 - p), (hi, p)])
+        return cls([(lo, 1.0 - p), (hi, p)])
 
     def moments(self, n_max):
-        out = []
-        for n in range(1, n_max + 1):
-            if self.atoms is not None:
-                out.append(sum(w * a ** n for a, w in self.atoms))
-            elif self.density is not None:
-                lam, rho = self.density
-                out.append(float(np.trapezoid(rho * lam ** n, lam)))
-            else:
-                out.append(float(np.mean(self.samples ** n)))
-        return FormalSeries(MOMENTS, out)
+        return FormalSeries(MOMENTS, [sum(w * a ** n for a, w in self.atoms)
+                                      for n in range(1, n_max + 1)])
 
     def free_cumulants(self, n_max):
         return moments_to_cumulants(self.moments(n_max))
@@ -266,28 +236,9 @@ class Measure1D:
     def quantiles(self, k):
         """k deterministic quantile draws (midpoint quantiles)."""
         q = (np.arange(k) + 0.5) / k
-        if self.atoms is not None:
-            locs = np.array([a for a, _ in self.atoms])
-            cum = np.cumsum([w for _, w in self.atoms])
-            return locs[np.searchsorted(cum, q, side="left")]
-        if self.samples is not None:
-            return np.quantile(self.samples, q)
-        lam, rho = self.density
-        cdf = np.concatenate(([0.0], np.cumsum(0.5 * (rho[1:] + rho[:-1]) * np.diff(lam))))
-        cdf /= cdf[-1]
-        return np.interp(q, cdf, lam)
-
-    def sample(self, rng, size):
-        if self.atoms is not None:
-            locs = np.array([a for a, _ in self.atoms])
-            w = np.array([w for _, w in self.atoms])
-            return rng.choice(locs, size=size, p=w / w.sum())
-        if self.samples is not None:
-            return rng.choice(self.samples, size=size, replace=True)
-        lam, rho = self.density
-        cdf = np.concatenate(([0.0], np.cumsum(0.5 * (rho[1:] + rho[:-1]) * np.diff(lam))))
-        cdf /= cdf[-1]
-        return np.interp(rng.random(size), cdf, lam)
+        locs = np.array([a for a, _ in self.atoms])
+        cum = np.cumsum([w for _, w in self.atoms])
+        return locs[np.searchsorted(cum, q, side="left")]
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +277,6 @@ class SpectralDensity:
     def integral(self):
         return float(np.trapezoid(self.rho, self.lam))
 
-    def moment(self, n):
-        return float(np.trapezoid(self.rho * self.lam ** n, self.lam))
-
     def cdf(self, at):
         """CDF of the block-normalized spectrum at the given points."""
         at = np.atleast_1d(np.asarray(at, dtype=float))
@@ -341,12 +289,12 @@ class SpectralDensity:
             return np.zeros_like(at)
         return np.interp(at, self.lam, cum / total)
 
-    def detect_support(self, threshold_frac=0.01):
-        """Smallest interval of grid points where rho exceeds a peak fraction."""
+    def detect_support(self):
+        """Smallest interval of grid points where rho exceeds SUPPORT_THRESHOLD_FRAC of its peak."""
         peak = np.nanmax(self.rho)
         if not np.isfinite(peak) or peak <= 0:
             return None
-        mask = self.rho > threshold_frac * peak
+        mask = self.rho > SUPPORT_THRESHOLD_FRAC * peak
         if not mask.any():
             return None
         idx = np.nonzero(mask)[0]

@@ -4,7 +4,7 @@ Provides finite-N samplers for the analytic ensembles (variance-profile
 Hermitian matrices, Haar-rotated fixed spectra) plus the stochastic
 evolution of the exclusion-process coherence matrix,
 
-    dM = i [dh, M] - 1/2 [dh, [dh, M]] + L[M] dt,
+    M -> e^{i dh} M e^{-i dh} + L[M] dt,
 
 with tridiagonal complex Brownian noise dh (E|dW|^2 = dt per bond) and
 boundary injection/extraction at the first and last site.  Estimators for
@@ -24,6 +24,8 @@ from .freeprob import SpectralDensity
 from .grids import GridFunction
 
 HERMITICITY_TOL = 1e-12
+STABILITY_WINDOW = (-0.1, 1.1)  # a snapshot eigenvalue outside it aborts a run
+STATIONARITY_REL_TOL = 0.02
 
 
 def rng_for(seed, stream=0):
@@ -80,20 +82,13 @@ def haar_unitary(n_dim, rng):
     return q * (d / np.abs(d))
 
 
-def sample_haar_conjugated(n_dim, spectrum, seed=0, stream=0, draw="quantile"):
-    """U D U^dagger with U Haar unitary and D drawn from the given measure.
+def sample_haar_conjugated(n_dim, spectrum, seed=0, stream=0):
+    """U D U^dagger with U Haar unitary and D the midpoint quantiles of spectrum.
 
-    draw='quantile' places the deterministic midpoint quantiles on the
-    diagonal (the sample spectrum equals the target exactly);
-    draw='iid' draws independently.
+    The sample spectrum equals the quantiles of the target exactly.
     """
     rng = rng_for(seed, stream)
-    if draw == "quantile":
-        d = spectrum.quantiles(n_dim)
-    elif draw == "iid":
-        d = spectrum.sample(rng, n_dim)
-    else:
-        raise ValueError(f"unknown draw mode {draw!r}")
+    d = spectrum.quantiles(n_dim)
     u = haar_unitary(n_dim, rng)
     m = (u * d[None, :]) @ u.conj().T
     m = 0.5 * (m + m.conj().T)
@@ -122,8 +117,7 @@ class QssepConfig:
     seed: int = 0
     stream: int = 0
     snapshot_stride: int = 50
-    integrator: str = "euler"  # or "unitary" for the exact-rotation stepper
-    stability_window: tuple = (-0.1, 1.1)
+    integrator: str = "unitary"  # the exact bond rotation, the only stepper
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -132,8 +126,9 @@ class QssepConfig:
             raise DomainError("t_stat must lie before t_end")
         if any(r < 0 for r in self.rates) or len(self.rates) != 4:
             raise DomainError("rates must be four nonnegative numbers")
-        if self.integrator not in ("euler", "unitary"):
-            raise DomainError(f"unknown integrator {self.integrator!r}")
+        if self.integrator != "unitary":
+            raise DomainError(f"unknown integrator {self.integrator!r} "
+                              "(the only stepper is 'unitary')")
 
 
 @dataclass
@@ -148,18 +143,8 @@ class QssepRun:
     hermiticity_drift: float  # largest |M - M^H| at a stride, before re-hermitising
 
 
-def _commutator_with_noise(w, m):
-    """[dh, M] = dh M - M dh for tridiagonal dh with upper diagonal w."""
-    out = np.zeros_like(m)
-    out[:-1] = w[:, None] * m[1:]
-    out[1:] += w.conj()[:, None] * m[:-1]
-    out[:, 1:] -= m[:, :-1] * w
-    out[:, :-1] -= m[:, 1:] * w.conj()
-    return out
-
-
 def _even_odd(n):
-    """Site order of the unitary stepper's storage: even sites, then odd ones."""
+    """Site order of the stepper's storage: even sites, then odd ones."""
     return np.r_[0:n:2, 1:n:2]
 
 
@@ -213,15 +198,15 @@ def _boundary_drive(m, ends, rows, cols, rates, dt):
     m[ends[1], ends[1]] += dt * alpha_n
 
 
-def detect_stationarity(values, window, rel_tol=0.02):
-    """First index where consecutive window means agree to rel_tol."""
+def detect_stationarity(values, window):
+    """First index where consecutive window means agree to STATIONARITY_REL_TOL."""
     values = np.asarray(values, dtype=float)
     if values.size < 2 * window:
         return None
     for k in range(0, values.size - 2 * window, max(window // 4, 1)):
         m1 = values[k:k + window].mean()
         m2 = values[k + window:k + 2 * window].mean()
-        if abs(m2 - m1) <= rel_tol * max(abs(m1), abs(m2), 1e-12):
+        if abs(m2 - m1) <= STATIONARITY_REL_TOL * max(abs(m1), abs(m2), 1e-12):
             return k + window
     return None
 
@@ -229,26 +214,23 @@ def detect_stationarity(values, window, rel_tol=0.02):
 def qssep_run(cfg):
     """Evolve the coherence matrix and collect stationary-window snapshots.
 
-    Starts from the diagonal linear profile.  Euler stepping applies the
-    noise commutator and its quadratic correction exactly as realized and
-    re-hermitises every step; the 'unitary' integrator conjugates by the
-    exact bond rotation, which keeps M Hermitian up to rounding, so it
-    re-hermitises only every snapshot_stride steps and reports the largest
-    deviation found there as hermiticity_drift.
+    Starts from the diagonal linear profile.  Each step conjugates by the
+    exact bond rotation, which keeps M Hermitian up to rounding, so M is
+    re-hermitised only every snapshot_stride steps and the largest
+    deviation found there is reported as hermiticity_drift.
 
     Snapshots (every snapshot_stride steps) begin at cfg.t_stat.  Unset, the
     trajectory is still stepped once: all stride snapshots are held, up to
     steps // snapshot_stride N x N matrices, until the trace observable's
     plateau onset is known, and those before it are dropped; the result
-    equals a run with t_stat = onset * dt.  A spectral excursion beyond the
-    stability window aborts with a stability error suggesting a smaller dt.
+    equals a run with t_stat = onset * dt.  A spectral excursion beyond
+    STABILITY_WINDOW aborts with a stability error suggesting a smaller dt.
     """
     n = cfg.n_sites
     if n < 3:
         raise DomainError("need at least 3 sites")
     rng = rng_for(cfg.seed, cfg.stream)
-    unitary = cfg.integrator == "unitary"
-    order = _even_odd(n) if unitary else np.arange(n)  # site at each storage index
+    order = _even_odd(n)  # site at each storage index
     pos = np.argsort(order)
     m = np.diag((order + 1) / n).astype(complex)
     ends = pos[[0, -1]]
@@ -264,22 +246,17 @@ def qssep_run(cfg):
         w = sqrt_half_dt * (rng.standard_normal(n - 1)
                             + 1j * rng.standard_normal(n - 1))
         edges = m[ends], m[:, ends]
-        if unitary:
-            # exact unitary conjugation; the noise then cannot move the spectrum
-            _bond_rotate(m, w, buf)
-        else:
-            c1 = _commutator_with_noise(w, m)
-            m = m + 1j * c1 - 0.5 * _commutator_with_noise(w, c1)
+        # exact unitary conjugation; the noise then cannot move the spectrum
+        _bond_rotate(m, w, buf)
         _boundary_drive(m, ends, *edges, cfg.rates, cfg.dt)
         at_stride = step % cfg.snapshot_stride == 0
         if at_stride:
             drift = max(drift, float(np.max(np.abs(m - m.conj().T))))
-        if at_stride or not unitary:
             m = 0.5 * (m + m.conj().T)
         trace_series[step] = np.vdot(m, m).real / n
         if at_stride:
             eig_probe = np.linalg.eigvalsh(m)
-            lo, hi = cfg.stability_window
+            lo, hi = STABILITY_WINDOW
             if eig_probe[0] < lo or eig_probe[-1] > hi:
                 raise StabilityError(
                     f"spectrum escaped [{lo}, {hi}] at t={step * cfg.dt:.3f}; "
@@ -317,18 +294,6 @@ def subblock_eigs(m, interval):
     """Eigenvalues of the principal block on sites ceil(cN)..floor(dN)."""
     lo, hi = subblock_indices(m.shape[0], interval)
     return np.linalg.eigvalsh(m[lo:hi, lo:hi])
-
-
-def _loop_products(samples, sites):
-    """Per-sample products M_{i1 i2} M_{i2 i3} .. M_{in i1}."""
-    entries = []
-    n = len(sites)
-    for m in samples:
-        prod = 1.0 + 0.0j
-        for k in range(n):
-            prod *= m[sites[k], sites[(k + 1) % n]]
-        entries.append(prod)
-    return np.asarray(entries)
 
 
 def estimate_local_cumulants(samples, n, points):

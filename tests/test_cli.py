@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from subspectra import cli
+from subspectra import cli, rmt_mc
+from subspectra.errors import DomainError
 
 
 def write_cfg(tmp_path, name, payload):
@@ -231,10 +232,85 @@ def test_simulate_instability_exit_code(tmp_path):
     cfg = write_cfg(tmp_path, "si.json", {
         "ensemble": "qssep", "seed": 3,
         "mc": {"n_sites": 40, "dt": 0.5, "t_end": 400.0, "t_stat": 0.0,
-               "integrator": "euler", "interval": [0.2, 0.8],
-               "snapshot_stride": 10},
+               "interval": [0.2, 0.8], "snapshot_stride": 10},
     })
     assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "si")]) == 3
+
+
+# the README QSSEP simulation at the paper's dt = 0.1, cut to 300 steps
+QSSEP_SIM = {"ensemble": "qssep", "seed": 7,
+             "mc": {"n_sites": 100, "dt": 0.1, "t_end": 30.0, "t_stat": 10.0,
+                    "snapshot_stride": 100, "interval": [0.4, 0.7], "bins": 60,
+                    "realizations": 2}}
+
+
+def _qssep_sim(tmp_path, name, **mc):
+    return write_cfg(tmp_path, f"{name}.json", dict(QSSEP_SIM, mc=dict(QSSEP_SIM["mc"], **mc)))
+
+
+def test_simulate_qssep_default_is_the_rotation_stepper(tmp_path):
+    outs = {}
+    for name, mc in (("default", {}), ("unitary", {"integrator": "unitary"}), ("again", {})):
+        outs[name] = tmp_path / name
+        cfg = _qssep_sim(tmp_path, name, **mc)
+        assert cli.main(["simulate", "--config", cfg, "--out", str(outs[name])]) == 0
+    for table in ("eigenvalues.csv", "histogram.csv"):
+        assert (outs["default"] / table).read_bytes() == (outs["unitary"] / table).read_bytes()
+    side = (outs["default"] / "simulate.json").read_bytes()
+    assert side == (outs["again"] / "simulate.json").read_bytes()
+    qssep = json.loads(side)["qssep"]  # one entry per realization
+    assert qssep["stationarity_index"] == [100, 100]
+    assert len(qssep["hermiticity_drift"]) == 2
+    assert all(0.0 <= d < rmt_mc.HERMITICITY_TOL for d in qssep["hermiticity_drift"])
+
+
+def test_euler_integrator_is_rejected(tmp_path, capsys):
+    with pytest.raises(DomainError):
+        rmt_mc.QssepConfig(n_sites=10, integrator="euler")
+    out = tmp_path / "e"
+    cfg = _qssep_sim(tmp_path, "euler", integrator="euler")
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 4
+    assert "unknown integrator 'euler'" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_density_with_gap_rows_exits_2(tmp_path, capsys, monkeypatch):
+    # spectrum writes a solver gap as nan; compare and simulate refuse to read one
+    gappy, clean = tmp_path / "gappy.csv", tmp_path / "clean.csv"
+    gappy.write_text("lambda,rho_block\n0,1\n0.5,nan\n1,1\n")
+    clean.write_text("lambda,rho_block\n0,1\n0.5,1\n1,1\n")
+    cfg = write_cfg(tmp_path, "c.json", {"files": [str(gappy), str(clean)]})
+    out = tmp_path / "c"
+    assert cli.main(["compare", "--config", cfg, "--out", str(out)]) == 2
+    assert "1 non-finite rows" in capsys.readouterr().err
+    assert not (out / "compare.json").exists()
+    # the reference is read before any trajectory is stepped
+    monkeypatch.setattr(rmt_mc, "qssep_run",
+                        lambda cfg: pytest.fail("stepped before reading the reference"))
+    out = tmp_path / "s"
+    for name, ref in (("gappy_ref", gappy), ("missing_ref", tmp_path / "missing.csv")):
+        cfg = _qssep_sim(tmp_path, name, reference=str(ref))
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert not any(out.iterdir())
+
+
+def test_inhomogeneous_s_squared_table_resampled(tmp_path, capsys):
+    table = [1.0, 1.5, 2.0, 1.25]
+    base = {"ensemble": "inhomogeneous", "h": {"type": "named", "name": "full"},
+            "grid": 32, "eps": 5e-3, "lambda_grid": {"min": -2.5, "max": 2.5, "count": 21}}
+    written = []
+    for name, vals in (("short", table), ("expanded", np.repeat(table, 8).tolist()),
+                       ("negative", [1.0, -0.5, 2.0, 1.25]), ("empty", [])):
+        cfg = write_cfg(tmp_path, f"{name}.json",
+                        dict(base, params={"s_squared": {"type": "table", "values": vals}}))
+        out = tmp_path / name
+        written.append((cli.main(["spectrum", "--config", cfg, "--out", str(out)]), out))
+    (short, a), (expanded, b), (negative, c), (empty, d) = written
+    assert short == expanded == 0
+    assert (a / "density.csv").read_bytes() == (b / "density.csv").read_bytes()
+    assert negative == 4 and not any(c.iterdir())
+    assert empty == 2 and not any(d.iterdir())
+    assert "s(x)^2 must be positive" in capsys.readouterr().err
 
 
 def test_compare_command(tmp_path):

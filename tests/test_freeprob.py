@@ -137,7 +137,7 @@ def test_measure_atoms_and_quantiles():
     q = meas.quantiles(10)
     assert list(q) == [0] * 5 + [1] * 5
     with pytest.raises(ValueError):
-        fp.Measure1D.from_atoms([(0.0, 0.6), (1.0, 0.6)])
+        fp.Measure1D([(0.0, 0.6), (1.0, 0.6)])
 
 
 def test_density_from_resolvent_pole():

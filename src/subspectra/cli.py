@@ -86,9 +86,7 @@ def _table_values(spec, where, resolution):
     vals = np.asarray(_get(spec, "values", list, where, required=True), dtype=float)
     if vals.size == 0:
         raise ConfigError(f"empty value table in {where}")
-    idx = np.clip((np.arange(resolution) + 0.5) / resolution * vals.size,
-                  0, vals.size - 1).astype(int)
-    return vals[idx]
+    return GridFunction(vals)(midpoints(resolution))
 
 
 def build_h(spec, resolution):
@@ -275,15 +273,24 @@ SIMULATE_KEYS = {"command", "ensemble", "params", "mc", "seed"}
 MC_KEYS = {"n_sites", "dt", "t_end", "t_stat", "rates", "realizations",
            "snapshot_stride", "interval", "bins", "integrator", "reference",
            "n_dim", "samples"}
+SIMULATE_PARAMS = {"qssep": set(), "wigner": {"s"}, "haar": {"atoms"}}
 
 
 def cmd_simulate(cfg, out_dir):
     _require_keys(cfg, SIMULATE_KEYS, "config")
     ens = _get(cfg, "ensemble", str, "config", required=True)
+    if ens not in SIMULATE_PARAMS:
+        raise ConfigError(f"ensemble {ens!r} has no simulation path")
+    params = _get(cfg, "params", dict, "config", default={})
+    _require_keys(params, SIMULATE_PARAMS[ens], "params")
     mc_cfg = _get(cfg, "mc", dict, "config", required=True)
     _require_keys(mc_cfg, MC_KEYS, "mc")
     seed = _get(cfg, "seed", int, "config", default=0)
-    interval = tuple(mc_cfg.get("interval", (0.0, 1.0)))
+    interval = _get(mc_cfg, "interval", list, "mc", default=[0.0, 1.0])
+    if len(interval) != 2 or not all(isinstance(v, (int, float)) for v in interval):
+        raise ConfigError(f"mc.interval must be two numbers [c, d], got {interval}")
+    n_dim = _get(mc_cfg, "n_sites" if ens == "qssep" else "n_dim", int, "mc", required=True)
+    rmt_mc.subblock_indices(n_dim, interval)  # before any trajectory is stepped
     bins = _get(mc_cfg, "bins", int, "mc", default=60)
     ref = mc_cfg.get("reference")
     ana = freeprob.SpectralDensity(*read_density_csv(ref)) if ref else None
@@ -294,7 +301,7 @@ def cmd_simulate(cfg, out_dir):
         if realizations < 1:
             raise ConfigError("realizations must be >= 1")
         run_cfg = rmt_mc.QssepConfig(
-            n_sites=_get(mc_cfg, "n_sites", int, "mc", required=True),
+            n_sites=n_dim,
             dt=_get(mc_cfg, "dt", float, "mc", default=0.1),
             t_end=_get(mc_cfg, "t_end", float, "mc", default=5000.0),
             t_stat=_get(mc_cfg, "t_stat", float, "mc"),
@@ -312,20 +319,17 @@ def cmd_simulate(cfg, out_dir):
             qssep["stationarity_index"].append(run.stationarity_index)
         eigs = np.concatenate(eigs)
     elif ens == "wigner":
-        n_dim = _get(mc_cfg, "n_dim", int, "mc", required=True)
         samples = _get(mc_cfg, "samples", int, "mc", default=10)
         if samples < 1:
             raise ConfigError("samples must be >= 1")
-        s = _get(cfg.get("params", {}), "s", float, "params", default=1.0)
+        s = _get(params, "s", float, "params", default=1.0)
         eigs = np.concatenate([
             rmt_mc.subblock_eigs(rmt_mc.sample_wigner(n_dim, s, seed, stream), interval)
             for stream in range(samples)])
-    elif ens == "haar":
-        n_dim = _get(mc_cfg, "n_dim", int, "mc", required=True)
+    else:
         samples = _get(mc_cfg, "samples", int, "mc", default=10)
         if samples < 1:
             raise ConfigError("samples must be >= 1")
-        params = cfg.get("params", {})
         atoms = params.get("atoms")
         if atoms is None:
             raise ConfigError("haar simulation needs params.atoms")
@@ -334,8 +338,6 @@ def cmd_simulate(cfg, out_dir):
             rmt_mc.subblock_eigs(
                 rmt_mc.sample_haar_conjugated(n_dim, meas, seed, stream), interval)
             for stream in range(samples)])
-    else:
-        raise ConfigError(f"ensemble {ens!r} has no simulation path")
 
     eigs = np.sort(eigs)
     samples_path = os.path.join(out_dir, "eigenvalues.csv")

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     DomainError,
@@ -25,7 +24,7 @@ from .errors import (
 )
 from . import freeprob
 from .freeprob import FormalSeries, SpectralDensity
-from .grids import as_grid_values, midpoints, profile_values
+from .grids import as_grid_values, checked_weight, midpoints
 from .kernels import LocalCumulantKernel, constant_kernel
 from .ncpart import enumerate_nc
 
@@ -43,15 +42,16 @@ def wigner_kernel(s):
     return constant_kernel([0.0, float(s) ** 2], name=f"wigner(s={s})")
 
 
-def inhomogeneous_wigner_kernel(s_profile, resolution=400):
+def inhomogeneous_wigner_kernel(s_profile, resolution=None):
     """Diagonal-covariance pair kernel with variance profile s(x)^2.
 
     The pair cumulant is concentrated on coinciding positions, so the
     functional gradient acts cellwise: b(x) = s(x)^2 a(x).  There is no
     pointwise kernel evaluation (the profile is a distribution in x - y);
-    only the solver closed forms are provided.
+    only the solver closed forms are provided.  A GridFunction or array
+    profile keeps its own size; a callable or scalar needs resolution.
     """
-    s_vals = profile_values(s_profile, resolution)
+    s_vals = as_grid_values(s_profile, resolution)
     if np.any(s_vals <= 0):
         raise DomainError("variance profile s(x) must be positive")
     s2 = np.asarray(s_vals, dtype=float) ** 2
@@ -68,13 +68,14 @@ def inhomogeneous_wigner_kernel(s_profile, resolution=400):
                                zero_beyond=2, r0_form=r0, f0_form=f0)
 
 
-def inhomogeneous_wigner_density(s_profile, lam, resolution=400):
+def inhomogeneous_wigner_density(s_profile, lam, resolution=None):
     """Density of the variance-profile ensemble on the full interval.
 
     Superposition of local semicircles:
-    rho(lam) = (1/2pi) integral dx sqrt(max(4 s(x)^2 - lam^2, 0)) / s(x)^2.
+    rho(lam) = (1/2pi) integral dx sqrt(max(4 s(x)^2 - lam^2, 0)) / s(x)^2,
+    with the profile coerced as in inhomogeneous_wigner_kernel.
     """
-    s_vals = np.asarray(profile_values(s_profile, resolution), dtype=float)
+    s_vals = np.asarray(as_grid_values(s_profile, resolution), dtype=float)
     s2 = s_vals ** 2
     lam = np.asarray(lam, dtype=float)
     rad = np.maximum(4.0 * s2[None, :] - lam[..., None] ** 2, 0.0)
@@ -117,15 +118,15 @@ def haar_subblock_density(kappa, ell, lam_grid, eps=1e-3):
 
     The truncated cumulant series turns the resolvent relation into a
     polynomial equation per grid point; the root on the half-plane branch is
-    tracked by continuation.  Quality is limited by the series truncation;
-    moment-level comparisons should use haar_subblock_moments.
+    tracked by continuation along each row of z = lam + i eps, and the
+    block resolvent at z is that root at z / ell, divided by ell.  A point
+    without such a root is a gap.  Quality is limited by the series
+    truncation; moment-level comparisons should use haar_subblock_moments.
     """
     if not 0 < ell <= 1:
         raise DomainError(f"block fraction must be in (0, 1], got {ell}")
     comp = freeprob.free_compress(kappa, ell).asarray()
     K = comp.size
-    lam_grid = np.asarray(lam_grid, dtype=float)
-    rho = np.zeros(lam_grid.size)
 
     def pick_root(zeta, target):
         # zeta*A = 1 + sum_k comp_k A^k
@@ -140,24 +141,27 @@ def haar_subblock_density(kappa, ell, lam_grid, eps=1e-3):
             return None
         return cand[np.argmin(np.abs(cand - target))]
 
-    prev = None
-    order = np.argsort(np.abs(lam_grid - np.median(lam_grid)))
-    for i in order:
-        u = lam_grid[i] / ell
-        if prev is None:
-            # ride the asymptotic branch down from far off the axis
-            A = 1.0 / complex(u, 2.0)
-            for im in np.geomspace(2.0, eps, 8):
-                A = pick_root(complex(u, im), A)
-                if A is None:
-                    break
-        else:
-            A = pick_root(complex(u, eps), prev)
-        if A is None:
-            continue
-        prev = A
-        rho[i] = -A.imag / np.pi / ell
-    dens = SpectralDensity(lam_grid, rho, atom_weight=1.0 - ell, block_fraction=ell)
+    def block_resolvent(z):
+        g = np.full(z.shape, np.nan, dtype=complex)
+        for row, z_row in zip(g, z):
+            prev = None
+            for i in np.argsort(np.abs(z_row.real - np.median(z_row.real))):
+                u = z_row[i] / ell
+                if prev is None:
+                    # ride the asymptotic branch down from far off the axis
+                    A = 1.0 / complex(u.real, 2.0)
+                    for im in np.geomspace(2.0, u.imag, 8):
+                        A = pick_root(complex(u.real, im), A)
+                        if A is None:
+                            break
+                else:
+                    A = pick_root(u, prev)
+                if A is not None:
+                    prev = row[i] = A
+        return g / ell
+
+    dens = freeprob.density_from_resolvent(block_resolvent, lam_grid, eps)
+    dens.atom_weight, dens.block_fraction = 1.0 - ell, ell
     dens.support = dens.detect_support()
     return dens
 
@@ -198,11 +202,14 @@ def _qssep_w(i_vals, root, tol=1e-13):
 
     root, of shape i_vals.shape[:-1], holds the seeds on entry (NaN: none)
     and the roots found on return, in place; the roots are also returned.
-    Complex rows run damped Newton together from their seeds; rows without
-    a seed, or not settled from it, then run it from 1 + mean(I), and rows
-    still unsettled track the root along the homotopy t I, t: 0 -> 1.  Real
-    rows use a bracketed search above max(I).  A row with no admissible root
-    comes back as NaN and keeps its seed.
+    Complex rows run damped Newton together from their seeds.  Rows without
+    a seed, not settled from it, or real then run it together: complex rows
+    from 1 + mean(I), real rows from max(max I + 1/G, 1 + mean I), a lower
+    bound of the root above max I (the nearest cell alone gives 1/G, and
+    Jensen the other term), from which Newton rises monotonically on the
+    convex, decreasing branch.  Rows still unsettled track the root along
+    the homotopy t I, t: 0 -> 1.  A row with no admissible root comes back
+    as NaN and keeps its seed.
     """
     i_vals = np.asarray(i_vals)
     prof = i_vals.reshape(-1, i_vals.shape[-1])
@@ -213,35 +220,16 @@ def _qssep_w(i_vals, root, tol=1e-13):
     rows = np.flatnonzero(cplx & ~np.isnan(seed))
     if rows.size:
         w[rows], settled[rows] = _w_newton(seed[rows], prof[rows], tol)
-    rows = np.flatnonzero(cplx & ~settled)
+    rows = np.flatnonzero(~settled)
     if rows.size:
-        w[rows], settled[rows] = _w_newton(1.0 + prof[rows].mean(axis=-1), prof[rows], tol)
+        c, p = cplx[rows], prof[rows]
+        p = np.where(c[:, None], p, p.real)
+        lower = np.maximum(p.real.max(axis=-1) + 1.0 / p.shape[-1], 1.0 + p.real.mean(axis=-1))
+        w[rows], settled[rows] = _w_newton(np.where(c, 1.0 + p.mean(axis=-1), lower), p, tol)
     for r in np.flatnonzero(~settled):
-        w[r] = _w_homotopy(prof[r], tol) if cplx[r] else _w_bracketed(prof[r].real)
+        w[r] = _w_homotopy(prof[r] if cplx[r] else prof[r].real, tol)
     root[...] = np.where(np.isnan(w), seed, w).reshape(root.shape)
     return w.reshape(root.shape)
-
-
-def _w_bracketed(ir):
-    """Root above max(I) of a real profile, by brentq; NaN when there is none."""
-    top = float(ir.max())
-
-    def f(w):
-        return float(np.mean(1.0 / (w - ir))) - 1.0
-
-    lo = top + 1e-12 * max(1.0, abs(top))
-    while f(lo) < 0:
-        lo = top + (lo - top) * 0.25
-        if lo - top < 1e-300:
-            return np.nan
-    hi = top + 1.0
-    for _ in range(200):
-        if f(hi) < 0:
-            break
-        hi = top + 2.0 * (hi - top)
-    else:
-        return np.nan
-    return brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
 
 
 def _w_homotopy(prof, tol):
@@ -269,10 +257,13 @@ def _scalar_abs(x):
 def _w_newton(w, prof, tol, iters=60):
     """Damped Newton on mean(1/(w - I)) = 1, one root per row of the (k, G) stack I.
 
-    Starts from the seeds w and returns (roots, converged mask).  A row stops
-    when its step would land within 1e-13 of a profile value or its
-    derivative degenerates; steps are capped at half of 1 + |w| and halved
-    until they keep 1e-12 away from the profile.
+    Starts from the seeds w and returns (roots, converged mask).  A row
+    settles when |g| <= tol * max(1, mean|1/(w - I)|), or when its Newton
+    step is below 4 ulps of |w|: far from the profile scale, the first test
+    asks for less than the rounding floor of g.  A row stops unsettled when
+    its step would land within 1e-13 of a profile value or its derivative
+    degenerates; steps are capped at half of 1 + |w| and halved until they
+    keep 1e-12 away from the profile.
     """
     n = prof.shape[-1]
     w = w.astype(complex)
@@ -285,24 +276,26 @@ def _w_newton(w, prof, tol, iters=60):
         stuck = np.min(dist, axis=-1) < 1e-13
         with np.errstate(divide="ignore", invalid="ignore"):  # stuck rows are dropped
             inv = 1.0 / d
-        # sum / n is np.mean's arithmetic without its per-call overhead
-        g = inv.sum(axis=-1) / n - 1.0
-        scale = np.maximum(1.0, np.abs(inv).sum(axis=-1) / n)
-        done = ~stuck & (_scalar_abs(g) <= tol * scale)
+            # sum / n is np.mean's arithmetic without its per-call overhead
+            g = inv.sum(axis=-1) / n - 1.0
+            scale = np.maximum(1.0, np.abs(inv).sum(axis=-1) / n)
+            done = ~stuck & (_scalar_abs(g) <= tol * scale)
+            if done.all():
+                w[rows], settled[rows] = wr, True
+                break
+            step = g / -((inv * inv).sum(axis=-1) / n)
+            size, aw = _scalar_abs(step), _scalar_abs(wr)
+            done |= ~stuck & (size <= 8.9e-16 * aw)  # 4 ulps
         w[rows[done]] = wr[done]
         settled[rows[done]] = True
-        if done.all():
-            break
-        gp = -((inv * inv).sum(axis=-1) / n)
-        go = ~(done | stuck | ~np.isfinite(gp) | (gp == 0))
+        go = ~(done | stuck) & np.isfinite(step)  # a zero or non-finite derivative stops
         if not go.any():
             break
         if not go.all():
-            rows, wr, prof, g, gp = rows[go], wr[go], prof[go], g[go], gp[go]
-        step = g / gp
-        cap = 0.5 * (1.0 + _scalar_abs(wr))
-        over = _scalar_abs(step) > cap
-        step[over] *= cap[over] / _scalar_abs(step[over])
+            rows, wr, prof, step, size, aw = rows[go], wr[go], prof[go], step[go], size[go], aw[go]
+        cap = 0.5 * (1.0 + aw)
+        over = size > cap
+        step[over] *= cap[over] / size[over]
         d = (wr - step)[:, None] - prof
         dist = np.abs(d)
         for _ in range(60):
@@ -364,8 +357,8 @@ def qssep_kernel():
 
 
 def qssep_f0(a, resolution=None):
-    """Closed-form generating functional for a grid profile a."""
-    a_vals = profile_values(a, resolution) if resolution else as_grid_values(a)
+    """Closed-form generating functional for a grid profile a (coerced by as_grid_values)."""
+    a_vals = as_grid_values(a, resolution)
     return complex(_qssep_f0(np.asarray(a_vals), np.array(np.nan, dtype=complex)))
 
 
@@ -544,11 +537,12 @@ def nonfreeness_diagnostic(kern, h, order=2, resolution=None):
     it with the S-transform of the weight profile's value distribution.
     Equality of the two series is the signature of compatibility with free
     multiplicative convolution; position-dependent kernels generically
-    break it already at order zero.
+    break it already at order zero.  h is a nonnegative weight, coerced by
+    as_grid_values.
     """
     if order not in (1, 2):
         raise DomainError(f"order must be 1 or 2, got {order}")
-    h_vals = np.asarray(profile_values(h, resolution or 64), dtype=float)
+    h_vals = checked_weight(h, resolution)
     G = h_vals.size
     x = midpoints(G)
     g1 = np.asarray(kern.eval(1, x), dtype=float)

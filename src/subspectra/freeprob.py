@@ -217,9 +217,9 @@ class Measure1D:
     def __init__(self, atoms):
         atoms = [(float(a), float(w)) for a, w in atoms]
         if any(w < 0 for _, w in atoms):
-            raise ValueError("atom weights must be nonnegative")
+            raise DomainError("atom weights must be nonnegative")
         if abs(sum(w for _, w in atoms) - 1.0) > ATOM_WEIGHT_TOL:
-            raise ValueError("atom weights must sum to 1")
+            raise DomainError("atom weights must sum to 1")
         self.atoms = sorted(atoms)
 
     @classmethod
@@ -341,28 +341,28 @@ def checked_ladder(eps, eps_ladder):
     Entries must be finite, positive and distinct (Richardson extrapolation
     divides by their differences); DomainError otherwise.
     """
-    ladder = [float(eps)] if eps_ladder is None else [float(e) for e in eps_ladder]
+    try:
+        ladder = [float(eps)] if eps_ladder is None else [float(e) for e in eps_ladder]
+    except (TypeError, ValueError):
+        raise DomainError(f"eps ladder entries must be numbers, got {eps_ladder}") from None
     if not ladder or not all(0 < e < np.inf for e in ladder) or len(set(ladder)) < len(ladder):
         raise DomainError(f"eps ladder entries must be positive and distinct, got {ladder}")
     return ladder
 
 
 def density_from_resolvent(g_eval, lam_grid, eps=1e-3, eps_ladder=None):
-    """Stieltjes inversion: rho(lam) = Im g(lam - i eps) / pi on a grid.
+    """Stieltjes inversion: rho(lam) = -Im g(lam + i eps) / pi on a grid.
 
-    g_eval maps complex z off the real axis to the resolvent value.  With an
-    eps ladder the Poisson smoothing bias is removed by Richardson
-    extrapolation toward eps = 0.
+    g_eval maps a (rungs, L) array of z = lam + i eps, one row per rung of
+    the eps ladder ([eps] without one), to the resolvent values there.  With
+    a ladder the Poisson smoothing bias is removed by Richardson
+    extrapolation toward eps = 0.  A lam where some g is not finite is a
+    gap: rho is NaN there and flagged in gaps.
     """
     ladder = checked_ladder(eps, eps_ladder)
     lam_grid = np.asarray(lam_grid, dtype=float)
-    rows = []
-    for e in ladder:
-        row = np.empty(lam_grid.size)
-        for i, lam in enumerate(lam_grid):
-            val = g_eval(complex(lam, -e))
-            if not np.isfinite(val.real) or not np.isfinite(val.imag):
-                raise ArithmeticError(f"resolvent not finite at {lam} - {e}i")
-            row[i] = val.imag / np.pi
-        rows.append(row)
-    return SpectralDensity(lam_grid, richardson_extrapolate(ladder, rows))
+    g = np.asarray(g_eval(lam_grid + 1j * np.array(ladder)[:, None]))
+    gaps = ~np.all(np.isfinite(g), axis=0)
+    rho = richardson_extrapolate(ladder, -g.imag / np.pi)
+    rho[gaps] = np.nan
+    return SpectralDensity(lam_grid, rho, gaps=gaps)

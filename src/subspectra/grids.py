@@ -23,9 +23,9 @@ class GridFunction:
     def __init__(self, values):
         values = np.asarray(values)
         if values.ndim != 1 or values.size == 0:
-            raise ValueError("grid function needs a non-empty 1-d value array")
+            raise DomainError("grid function needs a non-empty 1-d value array")
         if not np.all(np.isfinite(values)):
-            raise ValueError("grid function values must be finite")
+            raise DomainError("grid function values must be finite")
         self.values = values
 
     @property
@@ -55,22 +55,20 @@ class GridFunction:
         vals = np.zeros(resolution)
         for c, d in intervals:
             if not (0.0 <= c < d <= 1.0):
-                raise ValueError(f"interval ({c}, {d}) not inside [0, 1]")
+                raise DomainError(f"interval ({c}, {d}) not inside [0, 1]")
             vals[(x > c) & (x < d)] = 1.0
         return cls(vals)
+
+    def __call__(self, x):
+        """Piecewise-constant values at points x of [0, 1]: the cell holding x."""
+        G = self.values.size
+        return self.values[np.clip((np.asarray(x) * G).astype(int), 0, G - 1)]
 
     def __len__(self):
         return self.values.size
 
     def __repr__(self):
         return f"GridFunction(G={self.values.size}, dtype={self.values.dtype})"
-
-
-def profile_values(h, default_resolution):
-    """Like as_grid_values, but a GridFunction keeps its own resolution."""
-    if isinstance(h, GridFunction):
-        return h.values
-    return as_grid_values(h, default_resolution)
 
 
 def as_grid_values(h, resolution=None):

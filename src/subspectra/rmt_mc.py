@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import DomainError, StabilityError
 from .freeprob import SpectralDensity
-from .grids import GridFunction
 
 HERMITICITY_TOL = 1e-12
 STABILITY_WINDOW = (-0.1, 1.1)  # a snapshot eigenvalue outside it aborts a run
@@ -41,28 +40,18 @@ def assert_hermitian(m, tol=HERMITICITY_TOL):
     return m
 
 
-def _profile_callable(s):
-    if isinstance(s, GridFunction):
-        vals, G = s.values, s.resolution
-        return lambda x: vals[np.clip((np.asarray(x) * G).astype(int), 0, G - 1)]
-    if callable(s):
-        return s
-    return lambda x: np.full_like(np.asarray(x, dtype=float), float(s))
-
-
 def sample_wigner(n_dim, s=1.0, seed=0, stream=0):
     """Hermitian matrix with independent entries of variance s(x)^2 / N.
 
-    The profile is evaluated at the entry midpoint (i + j)/2N, which
-    realizes a diagonal covariance in the large-N limit; the diagonal is
-    real Gaussian at the same scale.
+    The profile s (a scalar, a callable or a GridFunction) is evaluated at
+    the entry midpoint (i + j)/2N, which realizes a diagonal covariance in
+    the large-N limit; the diagonal is real Gaussian at the same scale.
     """
     if n_dim < 2:
         raise DomainError("dimension must be at least 2")
-    prof = _profile_callable(s)
     rng = rng_for(seed, stream)
     idx = np.arange(1, n_dim + 1)
-    sij = prof((idx[:, None] + idx[None, :]) / (2.0 * n_dim))
+    sij = s((idx[:, None] + idx[None, :]) / (2.0 * n_dim)) if callable(s) else float(s)
     x = rng.standard_normal((n_dim, n_dim))
     y = rng.standard_normal((n_dim, n_dim))
     a = (x + 1j * y) / np.sqrt(2.0)

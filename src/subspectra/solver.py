@@ -33,7 +33,7 @@ from .errors import (
     UnsupportedOrderError,
 )
 from .freeprob import (MOMENTS, FormalSeries, SpectralDensity, checked_ladder,
-                       richardson_extrapolate)
+                       density_from_resolvent)
 from .grids import as_grid_values, checked_weight, midpoints
 from .kernels import kernel_tensor
 
@@ -474,25 +474,24 @@ def _solve_columns(kern, h_vals, zs, warm, tol):
 # spectral density
 # ---------------------------------------------------------------------------
 
-def _scan_columns(kern, h_vals, lam_grid, ladder, tol, chunk):
+def _scan_columns(kern, h_vals, z, tol, chunk):
     """Every (chunk, eps) continuation column of a density scan, in lock-step.
 
-    Column c walks its chunk of the grid at its eps, each lambda warm-started
-    from the one before; at the chunk start, and after a gap, it anneals in
-    along geomspace(ANNEAL_START, eps, ANNEAL_STEPS).  Each round solves the
-    next z of every live column in one _solve_columns call.  Returns the
-    density rows (one per eps), the gap mask, the iterations per lambda
-    summed over rungs, and the number of columns finished by Newton-Krylov.
+    z is the (rungs, L) array of lam + i eps.  Column c walks its chunk of
+    one row of z, each point warm-started from the one before; at the chunk
+    start, and after a gap, it anneals in along geomspace(ANNEAL_START, eps,
+    ANNEAL_STEPS).  Each round solves the next z of every live column in one
+    _solve_columns call.  Returns the block resolvent at z (NaN at a gap),
+    the iterations per lambda summed over rungs, and the number of columns
+    finished by Newton-Krylov.
     """
-    L = lam_grid.size
+    R, L = z.shape
     mask = h_vals > 0
     ell = float(np.mean(mask))
-    rho = np.full((len(ladder), L), np.nan)
-    gaps = np.zeros(L, dtype=bool)
+    g = np.full((R, L), np.nan, dtype=complex)
     iterations = np.zeros(L, dtype=int)
     fallbacks = 0
-    cols = [(r, start, min(start + chunk, L))
-            for r in range(len(ladder)) for start in range(0, L, chunk)]
+    cols = [(r, start, min(start + chunk, L)) for r in range(R) for start in range(0, L, chunk)]
     pos = [start for _, start, _ in cols]
     todo = [None] * len(cols)  # imaginary parts still to solve at pos, in order
     states = [None] * len(cols)
@@ -502,10 +501,10 @@ def _scan_columns(kern, h_vals, lam_grid, ladder, tol, chunk):
             break
         for c in live:
             if todo[c] is None:
-                e = ladder[cols[c][0]]
+                e = z[cols[c][0], pos[c]].imag
                 cold = states[c] is None
                 todo[c] = list(np.geomspace(ANNEAL_START, e, ANNEAL_STEPS)) if cold else [e]
-        zs = [complex(lam_grid[pos[c]], todo[c][0]) for c in live]
+        zs = [complex(z[cols[c][0], pos[c]].real, todo[c][0]) for c in live]
         solved, handed = _solve_columns(kern, h_vals, zs, [states[c] for c in live], tol)
         fallbacks += handed
         for c, st in zip(live, solved):
@@ -514,19 +513,16 @@ def _scan_columns(kern, h_vals, lam_grid, ladder, tol, chunk):
                 st = None  # a gap; the column re-anneals at its next lambda
             states[c] = st
             if st is None:
-                gaps[i] = True
                 todo[c] = []
             else:
                 iterations[i] += st.iterations
                 todo[c].pop(0)
             if not todo[c]:
                 if st is not None:
-                    g_block = np.mean(mask / (st.z - h_vals * st.b)) / ell
-                    # G(lam - i eps) is the conjugate of G(lam + i eps)
-                    rho[cols[c][0], i] = -g_block.imag / np.pi
+                    g[cols[c][0], i] = np.mean(mask / (st.z - h_vals * st.b)) / ell
                 pos[c] += 1
                 todo[c] = None
-    return rho, gaps, iterations, fallbacks
+    return g, iterations, fallbacks
 
 
 def spectral_density(kern, h, lam_grid, eps=1e-3, eps_ladder=None,
@@ -538,28 +534,33 @@ def spectral_density(kern, h, lam_grid, eps=1e-3, eps_ladder=None,
     and all columns advance in lock-step as one batched fixed-point
     iteration; chunks re-initialize, so results do not depend on how the
     columns are batched (for tensor-quadrature kernels, up to rounding in
-    the batched products).  With an eps ladder, densities are
-    Richardson-extrapolated to the real axis.  Returns the block-normalized
+    the batched products).  The block resolvent of the scan is inverted by
+    freeprob.density_from_resolvent, with Richardson extrapolation to the
+    real axis when an eps ladder is given.  Returns the block-normalized
     density together with the zero-eigenvalue atom weight 1 - ell carried by
     the total spectrum, the fixed-point iterations per lambda (summed over
     the ladder) and the number of columns finished by Newton-Krylov.  A bad
     eps or ladder raises DomainError; isolated convergence failures are
     marked as gaps, not fatal.
     """
-    ladder = checked_ladder(eps, eps_ladder)
     h_vals = checked_weight(h, resolution)
     lam_grid = np.asarray(lam_grid, dtype=float)
-    mask = h_vals > 0
-    ell = float(np.mean(mask))
+    ell = float(np.mean(h_vals > 0))
     if ell == 0.0:
+        checked_ladder(eps, eps_ladder)
         return SpectralDensity(lam_grid, np.zeros(lam_grid.size), atom_weight=1.0,
                                block_fraction=0.0, iterations=np.zeros(lam_grid.size, dtype=int),
                                fallbacks=0)
-    rows, gaps, iterations, fallbacks = _scan_columns(
-        kern, h_vals, lam_grid, ladder, tol, chunk)
-    rho = richardson_extrapolate(ladder, rows)
-    dens = SpectralDensity(lam_grid, rho, atom_weight=1.0 - ell, block_fraction=ell,
-                           gaps=gaps, iterations=iterations, fallbacks=fallbacks)
+    scan = []
+
+    def block_resolvent(z):
+        g, *stats = _scan_columns(kern, h_vals, z, tol, chunk)
+        scan.extend(stats)
+        return g
+
+    dens = density_from_resolvent(block_resolvent, lam_grid, eps, eps_ladder)
+    dens.atom_weight, dens.block_fraction = 1.0 - ell, ell
+    dens.iterations, dens.fallbacks = scan
     dens.support = dens.detect_support()
     return dens
 

@@ -1,11 +1,23 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from subspectra import cli, rmt_mc
 from subspectra.errors import DomainError
+
+
+def test_import_loads_no_scipy():
+    # scipy.optimize alone was most of the start-up time of every command
+    import subspectra
+    code = "import sys, subspectra; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(subspectra.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def write_cfg(tmp_path, name, payload):
@@ -120,6 +132,22 @@ def test_bad_eps_ladder_exits_4_without_files(tmp_path, ladder):
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("change", [
+    {"ensemble": "haar", "params": {"atoms": [[0.0, 0.6], [1.0, 0.6]]}},
+    {"h": {"type": "intervals", "intervals": [[0.5, 1.5]]}},
+    {"eps_ladder": ["x"]},
+], ids=["atom-weights", "h-interval", "ladder-entry"])
+def test_out_of_domain_input_exits_4_without_files(tmp_path, change):
+    cfg = write_cfg(tmp_path, "d.json", dict({
+        "ensemble": "wigner", "params": {"s": 1.0},
+        "h": {"type": "named", "name": "full"}, "grid": 32,
+        "lambda_grid": {"min": -1.0, "max": 1.0, "count": 5},
+    }, **change))
+    out = tmp_path / "d_out"
+    assert cli.main(["spectrum", "--config", cfg, "--out", str(out)]) == 4
+    assert not any(out.iterdir())
+
+
 def test_malformed_config_exits_2_without_files(tmp_path):
     cfg = write_cfg(tmp_path, "bad.json", {
         "ensemble": "wigner", "bogus": 1,
@@ -202,6 +230,22 @@ def test_simulate_zero_realizations_exits_2(tmp_path):
                "realizations": 0, "interval": [0.4, 0.7]},
     })
     assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "s0")]) == 2
+
+
+def test_simulate_checks_its_config_before_stepping(tmp_path, monkeypatch):
+    runs = []
+    monkeypatch.setattr(rmt_mc, "qssep_run", lambda cfg: runs.append(cfg))
+    base = {"ensemble": "qssep", "mc": {"n_sites": 20, "dt": 0.1, "t_end": 200.0}}
+    for name, change, code in (
+            ("no_sites", {"mc": dict(base["mc"], interval=[0.98, 0.99])}, 4),
+            ("string", {"mc": dict(base["mc"], interval="ab")}, 2),
+            ("bogus", {"ensemble": "wigner", "params": {"s": 1, "bogus": 3},
+                       "mc": {"n_dim": 20}}, 2)):
+        cfg = write_cfg(tmp_path, f"{name}.json", dict(base, **change))
+        out = tmp_path / name
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == code
+        assert not any(out.iterdir())
+    assert runs == []
 
 
 def test_simulate_reproducible_and_ks(tmp_path):

@@ -141,18 +141,23 @@ def _w_problem(seed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(problem=st.integers(0, 2 ** 32 - 1).map(_w_problem))
-@example(problem=_w_problem(11514))  # row 2: an arbitrary seed and no root found
-def test_qssep_w_stack_rows_are_independent(problem):
+@given(problem=st.integers(0, 2 ** 32 - 1).map(_w_problem), finite=st.just(()))
+@example(problem=_w_problem(11514), finite=(2,))  # row 2: an arbitrary seed
+# rows whose homotopy stalled while |g| sat at its rounding floor above the tolerance
+@example(problem=_w_problem(644), finite=(0,))
+@example(problem=_w_problem(975), finite=(4,))
+def test_qssep_w_stack_rows_are_independent(problem, finite):
     """Each row of a stack gets bitwise the root, and keeps bitwise the seed slot,
     that it gets alone; a finite root solves mean(1/(w - I)) = 1.
 
     The residual is measured against the scale of the terms, as the Newton
-    stopping rule does, since 1/(w - I) can be large in cells near w.
+    stopping rule does, since 1/(w - I) can be large in cells near w.  The
+    rows listed in finite must have a root.
     """
     i_vals, seeds = problem
     root = seeds.copy()
     w = _qssep_w(i_vals, root)
+    assert np.all(np.isfinite(w[list(finite)]))
     for r, (i_row, seed) in enumerate(zip(i_vals, seeds)):
         alone = np.array(seed)
         np.testing.assert_array_equal(w[r], _qssep_w(i_row, alone))
@@ -163,6 +168,49 @@ def test_qssep_w_stack_rows_are_independent(problem):
         assert root[r] == w[r]
         inv = 1.0 / (w[r] - i_row)
         assert abs(inv.mean() - 1.0) <= 1e-12 * max(1.0, np.abs(inv).mean())
+
+
+def _brentq_root(ir):
+    """The root above max(I) of a real profile by brentq, bracketed by the lower
+    bound max(max I + 1/G, 1 + mean I), where g >= 0, and max I + 2, where g < 0."""
+    from scipy.optimize import brentq
+
+    def g(w):
+        return float(np.mean(1.0 / (w - ir))) - 1.0
+
+    lo = max(ir.max() + 1.0 / ir.size, 1.0 + ir.mean())
+    return lo if g(lo) <= 0 else brentq(g, lo, ir.max() + 2.0, xtol=1e-15, rtol=8.9e-16)
+
+
+@st.composite
+def _real_w_rows(draw):
+    """(k, G) real remaining-mass stacks: spreads above 1, so that 1 + mean I can lie
+    below max I, and lone spikes over a flat floor; G from 1 to 400."""
+    k, G = draw(st.integers(1, 4)), draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = []
+    for spike in rng.random(k) < 0.5:
+        if spike:
+            row = rng.uniform(0.0, 0.05, size=G)
+            row[rng.integers(G)] += 10.0 ** rng.uniform(-1, 2)
+        else:
+            row = rng.uniform(0.0, 3.0) + rng.uniform(1.0, 60.0) * rng.random(G)
+        rows.append(row)
+    return np.array(rows, dtype=complex)
+
+
+@settings(max_examples=60, deadline=None)
+@given(i_vals=_real_w_rows(), seeded=st.booleans())
+def test_qssep_w_real_rows_match_brentq(i_vals, seeded):
+    """Real rows take Newton from the lower bound, whatever their seeds: the root
+    above max I, real, within 1e-13 of brentq's."""
+    k = i_vals.shape[0]
+    seeds = (np.arange(k) + 1j) if seeded else np.full(k, np.nan, dtype=complex)
+    w = _qssep_w(i_vals, seeds)
+    for r in range(k):
+        ref = _brentq_root(i_vals[r].real)
+        assert w[r].imag == 0.0 and w[r].real > i_vals[r].real.max()
+        assert abs(w[r].real - ref) <= 1e-13 * ref
 
 
 def test_qssep_full_density_values():
@@ -383,6 +431,24 @@ def test_haar_density_moments_coarse():
     assert 0.5 < np.trapezoid(dens.rho, lam) < 1.1
 
 
+def test_haar_point_without_root_is_a_gap(monkeypatch):
+    # a point where the polynomial has no lower-half-plane root is a gap, not a 0
+    kap, ell, eps = bernoulli_cumulants(12), 0.5, 1e-3
+    lam = np.linspace(0.1, 0.9, 9)
+    roots, shift = np.roots, fp.free_compress(kap, ell)[0]  # poly[-2] = zeta - kappa_1 / ell
+
+    def upper_roots_at_lam6(poly):
+        r = roots(poly)
+        if abs(poly[-2] + shift - complex(lam[6], eps) / ell) < 1e-12:
+            return r.real + 1j * np.abs(r.imag)
+        return r
+
+    monkeypatch.setattr(np, "roots", upper_roots_at_lam6)
+    dens = haar_subblock_density(kap, ell, lam, eps=eps)
+    assert dens.gaps.tolist() == [i == 6 for i in range(9)]
+    assert np.isnan(dens.rho[6]) and np.all(np.isfinite(np.delete(dens.rho, 6)))
+
+
 # ---------------------------------------------------------------------------
 # compatibility diagnostic
 # ---------------------------------------------------------------------------
@@ -409,3 +475,21 @@ def test_diagnostic_degenerate_weight():
     kern = wigner_kernel(1.0)  # g_1 = 0 everywhere
     with pytest.raises(DomainError):
         nonfreeness_diagnostic(kern, GridFunction.constant(1.0, 32))
+
+
+def test_profile_resolution_rule():
+    # a GridFunction or array keeps its own size; a callable or scalar needs resolution
+    from subspectra import constant_kernel
+    s = GridFunction.from_callable(lambda x: np.sqrt(1 + x / 2), 24)
+    np.testing.assert_array_equal(inhomogeneous_wigner_kernel(s.values).r0_form(np.ones(24), None),
+                                  s.values ** 2)
+    assert inhomogeneous_wigner_density(1.0, 0.0, resolution=8) == pytest.approx(1 / np.pi)
+    assert qssep_f0(0.0, resolution=8) == 0.0
+    for call in (lambda: inhomogeneous_wigner_kernel(lambda x: 1 + x),
+                 lambda: inhomogeneous_wigner_density(1.0, 0.0),
+                 lambda: qssep_f0(0.1),
+                 lambda: nonfreeness_diagnostic(qssep_kernel(), lambda x: 1 + x)):
+        with pytest.raises(ValueError, match="resolution required"):
+            call()
+    with pytest.raises(DomainError, match="nonnegative"):
+        nonfreeness_diagnostic(constant_kernel([0.7, 0.3]), np.linspace(-0.5, 1.0, 16))

@@ -136,7 +136,7 @@ def test_measure_atoms_and_quantiles():
     np.testing.assert_allclose(meas.moments(4).asarray(), [0.5] * 4)
     q = meas.quantiles(10)
     assert list(q) == [0] * 5 + [1] * 5
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         fp.Measure1D([(0.0, 0.6), (1.0, 0.6)])
 
 
@@ -149,8 +149,7 @@ def test_density_from_resolvent_pole():
 def test_density_from_resolvent_semicircle():
     def g(z):
         s = np.sqrt(z * z - 4.0 + 0j)
-        if (s.real * z.real + s.imag * z.imag) < 0:
-            s = -s
+        s = np.where(s.real * z.real + s.imag * z.imag < 0, -s, s)
         return (z - s) / 2.0
 
     lam = np.linspace(-2.5, 2.5, 301)
@@ -167,8 +166,22 @@ def test_density_from_resolvent_avoiding_origin_pole():
     assert np.max(np.abs(dens.rho)) < 1e-2
 
 
+def test_density_from_resolvent_non_finite_g_is_a_gap():
+    # one lambda where g is not finite is a gap there, not an ArithmeticError
+    lam = np.linspace(0.5, 2.0, 7)
+
+    def g(z):
+        return np.where(z.real == lam[3], np.nan, 1.0 / (z - 1.0))
+
+    for ladder in (None, [2e-3, 1e-3]):
+        dens = fp.density_from_resolvent(g, lam, eps=1e-3, eps_ladder=ladder)
+        assert dens.gaps.tolist() == [False] * 3 + [True] + [False] * 3
+        assert np.isnan(dens.rho[3]) and np.all(np.isfinite(np.delete(dens.rho, 3)))
+
+
 @pytest.mark.parametrize("eps,ladder", [
     (1e-3, [1e-3, 1e-3]), (1e-3, [-1e-3]), (1e-3, []), (0.0, None), (float("nan"), None),
+    (1e-3, ["x"]), (1e-3, [None]),
 ])
 def test_bad_eps_ladder_is_a_domain_error(eps, ladder):
     # Richardson extrapolation divides by the differences of the rungs
@@ -179,8 +192,7 @@ def test_bad_eps_ladder_is_a_domain_error(eps, ladder):
 def test_richardson_ladder_improves_pole_tail():
     def g(z):
         s = np.sqrt(z * z - 4.0 + 0j)
-        if (s.real * z.real + s.imag * z.imag) < 0:
-            s = -s
+        s = np.where(s.real * z.real + s.imag * z.imag < 0, -s, s)
         return (z - s) / 2.0
 
     lam = np.linspace(-2.5, 2.5, 301)

@@ -21,6 +21,15 @@ def test_indicator_block_fraction_exact():
     assert h3.integrate() == 0.5
 
 
+def test_grid_function_resamples_piecewise_constant():
+    g = GridFunction(np.array([3.0, 5.0, 7.0, 11.0]))
+    np.testing.assert_array_equal(g(g.x), g.values)
+    np.testing.assert_array_equal(g([-0.1, 0.0, 0.2499, 0.25, 0.99, 1.0, 1.2]),
+                                  [3.0, 3.0, 3.0, 5.0, 11.0, 11.0, 11.0])
+    fine = midpoints(10)  # the cell holding each fine midpoint
+    np.testing.assert_array_equal(g(fine), g.values[np.floor(fine * 4).astype(int)])
+
+
 def test_grid_function_validation():
     with pytest.raises(ValueError):
         GridFunction([np.nan, 1.0])

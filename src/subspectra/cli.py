@@ -63,11 +63,30 @@ def _get(cfg, key, kind, where, default=None, required=False):
             raise ConfigError(f"missing required key '{key}' in {where}")
         return default
     val = cfg[key]
-    if kind is float and isinstance(val, int):
+    if kind is float and _is_number(val):
         val = float(val)
-    if not isinstance(val, kind):
+    if not isinstance(val, kind) or (kind is int and isinstance(val, bool)):
         raise ConfigError(f"key '{key}' in {where} must be {kind}, got {type(val).__name__}")
     return val
+
+
+def _is_number(val):
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
+def _numbers(vals, where, count=None):
+    """vals as a list of floats; a ConfigError unless it is a list of count numbers."""
+    if (not isinstance(vals, list) or not all(map(_is_number, vals))
+            or (count is not None and len(vals) != count)):
+        size = "a list of numbers" if count is None else f"a list of {count} numbers"
+        raise ConfigError(f"{where} must be {size}, got {vals!r}")
+    return [float(v) for v in vals]
+
+
+def _atoms(params):
+    """A discrete measure from params.atoms, a list of [location, weight] pairs."""
+    atoms = _get(params, "atoms", list, "params", required=True)
+    return freeprob.Measure1D([_numbers(atom, "each of params.atoms", 2) for atom in atoms])
 
 
 def load_config(path):
@@ -83,7 +102,8 @@ def load_config(path):
 
 def _table_values(spec, where, resolution):
     """The 'values' table of spec, resampled piecewise-constant onto the grid."""
-    vals = np.asarray(_get(spec, "values", list, where, required=True), dtype=float)
+    vals = np.asarray(_numbers(_get(spec, "values", list, where, required=True),
+                               f"'values' in {where}"))
     if vals.size == 0:
         raise ConfigError(f"empty value table in {where}")
     return GridFunction(vals)(midpoints(resolution))
@@ -94,7 +114,8 @@ def build_h(spec, resolution):
     kind = _get(spec, "type", str, "h", required=True)
     if kind == "intervals":
         ivals = _get(spec, "intervals", list, "h", required=True)
-        return GridFunction.indicator([tuple(map(float, iv)) for iv in ivals], resolution)
+        return GridFunction.indicator([_numbers(iv, "each h interval", 2) for iv in ivals],
+                                      resolution)
     if kind == "table":
         return GridFunction(_table_values(spec, "h", resolution))
     if kind == "named":
@@ -132,10 +153,13 @@ def build_kernel(cfg, resolution):
     if ens in ("haar", "custom"):
         _require_keys(params, {"cumulants", "atoms", "order"}, "params")
         if "cumulants" in params:
-            kappa = freeprob.free_cumulants(params["cumulants"])
+            kappa = _numbers(_get(params, "cumulants", list, "params"), "params.cumulants")
+            if not kappa:
+                raise ConfigError("params.cumulants must not be empty")
+            kappa = freeprob.free_cumulants(kappa)
         elif "atoms" in params:
-            meas = freeprob.Measure1D(params["atoms"])
-            kappa = meas.free_cumulants(_get(params, "order", int, "params", default=12))
+            kappa = _atoms(params).free_cumulants(
+                _get(params, "order", int, "params", default=12))
         else:
             raise ConfigError(f"{ens} ensemble needs 'cumulants' or 'atoms'")
         return ensembles.haar_kernel(kappa)
@@ -286,9 +310,8 @@ def cmd_simulate(cfg, out_dir):
     mc_cfg = _get(cfg, "mc", dict, "config", required=True)
     _require_keys(mc_cfg, MC_KEYS, "mc")
     seed = _get(cfg, "seed", int, "config", default=0)
-    interval = _get(mc_cfg, "interval", list, "mc", default=[0.0, 1.0])
-    if len(interval) != 2 or not all(isinstance(v, (int, float)) for v in interval):
-        raise ConfigError(f"mc.interval must be two numbers [c, d], got {interval}")
+    interval = _numbers(_get(mc_cfg, "interval", list, "mc", default=[0.0, 1.0]),
+                        "mc.interval", 2)
     n_dim = _get(mc_cfg, "n_sites" if ens == "qssep" else "n_dim", int, "mc", required=True)
     rmt_mc.subblock_indices(n_dim, interval)  # before any trajectory is stepped
     bins = _get(mc_cfg, "bins", int, "mc", default=60)
@@ -330,10 +353,7 @@ def cmd_simulate(cfg, out_dir):
         samples = _get(mc_cfg, "samples", int, "mc", default=10)
         if samples < 1:
             raise ConfigError("samples must be >= 1")
-        atoms = params.get("atoms")
-        if atoms is None:
-            raise ConfigError("haar simulation needs params.atoms")
-        meas = freeprob.Measure1D(atoms)
+        meas = _atoms(params)
         eigs = np.concatenate([
             rmt_mc.subblock_eigs(
                 rmt_mc.sample_haar_conjugated(n_dim, meas, seed, stream), interval)

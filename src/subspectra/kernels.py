@@ -21,14 +21,23 @@ Optional structure flags let consumers pick fast paths:
                       process's w): seeds on entry (NaN: none), the roots found
                       on return, in place, like numpy's ``out=``.  Other forms
                       ignore it.
+
+Tensor quadrature (the solver's generic R0/F0 and the partition-sum oracle)
+reads kernel values off the grid through ``grid_tensor``, one bounded cache
+that both share: a kernel's order-n tensor on a G-cell grid is evaluated once
+while it stays among the three latest, and the cache pins at most
+3 * MAX_TENSOR_ELEMS floats (48 MiB).  The oracle's tensors with a pinned
+variable are built per call with ``kernel_tensor``.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UnsupportedOrderError
+from .grids import midpoints
 
 # Largest kernel tensor (elements) any quadrature path may build.
 MAX_TENSOR_ELEMS = 1 << 21
@@ -87,6 +96,17 @@ def kernel_tensor(kern, *coords):
     tensor = np.asarray(kern.eval(k, *axes), dtype=float).view()
     tensor.flags.writeable = False  # on a view: an array the kernel returned stays writeable
     return tensor
+
+
+@functools.lru_cache(maxsize=3)
+def grid_tensor(kern, n, resolution):
+    """Order-n kernel values on the grid, cached per (kernel, order, grid).
+
+    The cache holds the three latest tensors: one kernel's orders 1..3 on one
+    grid.  Each is at most MAX_TENSOR_ELEMS, so the cache pins at most 48 MiB,
+    and the kernels it evicts can be freed.
+    """
+    return kernel_tensor(kern, *[midpoints(resolution)] * n)
 
 
 def constant_kernel(values, name="constant", zero_beyond=None, max_order=None):

@@ -6,6 +6,7 @@ the complementary partition supplying the cumulant factors.  It is the
 brute-force cross-check for the fixed-point solver.
 """
 
+import collections
 import functools
 import itertools
 import math
@@ -14,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidPartitionError, SizeLimitError, UnsupportedOrderError
 from .grids import checked_weight, midpoints
-from .kernels import kernel_tensor
+from .kernels import grid_tensor, kernel_tensor
 
 ENUM_MAX_N = 12
 ORACLE_MAX_N = 8
@@ -177,6 +178,35 @@ def _white_order_check(kern, pistar):
                 f"needed by complement {pistar.parts}")
 
 
+@functools.lru_cache(maxsize=None)
+def _signature(pi, pinned):
+    """Subtree signature of pi's part tree, read from the root part down.
+
+    A part of pi (black) has signature ("b", part size, is root, signatures
+    of its child complement parts in element order); a complement part
+    (white) has ("w", key, keep, signatures of its child parts in slot
+    order), where key marks the tensor slots that carry a pinned root and
+    keep is the parent's slot.  Within one oracle call, equal signatures
+    stand for the same float operations on the same inputs.  Cached per
+    (partition, whether the root is pinned), like _part_tree.
+    """
+    _, root, black_whites, white_slots = _part_tree(pi)
+
+    def black(b, parent):
+        return ("b", len(pi.parts[b]), b == root,
+                tuple(white(w, b) for w in black_whites[b] if w != parent))
+
+    def white(w, parent):
+        slots = white_slots[w]
+        return ("w", tuple(pinned and b == root for b in slots), slots.index(parent),
+                tuple(black(b, w) for b in slots if b != parent))
+
+    return black(root, None)
+
+
+_Call = collections.namedtuple("_Call", "kern grid h_vals root_coord root_h memo")
+
+
 def _partition_marked(kern, pi, h_vals, grid, memo, x=None):
     """Contribution of one partition, as values over the root variable.
 
@@ -187,18 +217,31 @@ def _partition_marked(kern, pi, h_vals, grid, memo, x=None):
     integrated with the midpoint rule; the root runs over the grid, or is
     pinned to x with its weight interpolated from the grid.
 
-    A tree has no double edges, so each factor slot is its own tensor axis,
-    over the grid except for a pinned root's: a tensor depends only on which
-    of its slots carry the pinned root, its key in the caller's memo.  A
-    constant kernel memoizes its order-k value under ("g", k) and the weight
-    moment mean(h^k) under ("h", k) instead.
+    Everything lives in the caller's memo, one per oracle call, so each
+    piece of tensor work is done once per call:
+
+    * each message, under its subtree signature (_signature), so partitions
+      that share a subtree share its message, bit for bit;
+    * each tensor, under its pinned-slot key: a tree has no double edges, so
+      each factor slot is its own axis, over the grid except for a pinned
+      root's.  All-grid tensors come from the grid_tensor cache shared with
+      the solver; tensors with a pinned slot are built for the call;
+    * each operand matrix of a tensor's first contraction, in the layout
+      np.tensordot would copy it to, so the contraction is the same BLAS
+      call without a copy each time.  Only axes 0 and 1 are contracted
+      first, and axis 1 of an order-2 tensor needs no copy, so a call keeps
+      at most two copies of each tensor of order 3 or more (4 MiB for the
+      order-3 grid tensor at G = 64) and one of each order-2 tensor, freed
+      with the memo.
+
+    A constant kernel memoizes its order-k value under ("g", k) and the
+    weight moment mean(h^k) under ("h", k) instead.
     """
-    G = len(grid)
     root_coord, root_h = grid, h_vals
     if x is not None:
         root_coord = np.array([float(x)])
         root_h = np.array([float(np.interp(x, grid, h_vals))])
-    pistar, root, black_whites, white_slots = _part_tree(pi)
+    pistar, root, _, _ = _part_tree(pi)
     _white_order_check(kern, pistar)
     if any(kern.zero_beyond is not None and len(q) > kern.zero_beyond
            for q in pistar.parts):
@@ -219,30 +262,58 @@ def _partition_marked(kern, pi, h_vals, grid, memo, x=None):
                 coef *= memo["h", len(p)]
         return coef * root_h ** len(pi.parts[root])
 
-    def msg_black(b, skip_white):
-        vec = (root_h if b == root else h_vals) ** len(pi.parts[b])
-        for w in black_whites[b]:
-            if w != skip_white:
-                vec = vec * msg_white(w, b)
-        return vec
+    call = _Call(kern, grid, h_vals, root_coord, root_h, memo)
+    return _message(_signature(pi, x is not None), call)
 
-    def msg_white(w, parent_black):
-        slot_blacks = white_slots[w]
-        key = tuple(x is not None and b == root for b in slot_blacks)
-        if key not in memo:
-            memo[key] = kernel_tensor(kern, *(root_coord if b == root else grid
-                                              for b in slot_blacks))
-        tensor = memo[key]
-        # contract the lowest remaining axis that is not the parent's
-        keep = slot_blacks.index(parent_black)
-        for ax, b in enumerate(slot_blacks):
-            if ax != keep:
-                tensor = np.tensordot(tensor, msg_black(b, w), axes=([int(ax > keep)], [0])) / G
-        return tensor  # 1-d over the parent axis
 
-    out = msg_black(root, None)
-    del msg_black  # break the closure cycle, so the memo is freed without waiting for gc
+def _message(sig, call):
+    """The message of the subtree with signature sig, computed once per call."""
+    msg = call.memo.get(sig)
+    if msg is None:
+        msg = call.memo[sig] = (_black if sig[0] == "b" else _white)(sig, call)
+    return msg
+
+
+def _black(sig, call):
+    _, size, is_root, children = sig
+    vec = (call.root_h if is_root else call.h_vals) ** size
+    for child in children:
+        vec = vec * _message(child, call)
+    return vec
+
+
+def _white(sig, call):
+    """Contract the factor tensor with its children, lowest slot first; 1-d over keep."""
+    _, key, keep, children = sig
+    if not children:
+        return _tensor(key, call)
+    G = len(call.grid)
+    msgs = [_message(child, call) for child in children]
+    at, shape = _layout(key, int(keep == 0), call)
+    out = np.dot(at, msgs[0].reshape(-1, 1)).reshape(shape) / G
+    later = [ax for ax in range(len(key)) if ax != keep][1:]
+    for ax, msg in zip(later, msgs[1:]):
+        out = np.tensordot(out, msg, axes=([int(ax > keep)], [0])) / G
     return out
+
+
+def _tensor(key, call):
+    if ("t", key) not in call.memo:
+        call.memo["t", key] = (
+            kernel_tensor(call.kern, *(call.root_coord if p else call.grid for p in key))
+            if any(key) else grid_tensor(call.kern, len(key), len(call.grid)))
+    return call.memo["t", key]
+
+
+def _layout(key, axis, call):
+    """np.tensordot's operand matrix for contracting the tensor over axis, and its kept shape."""
+    if ("l", key, axis) not in call.memo:
+        tensor = _tensor(key, call)
+        rest = [k for k in range(tensor.ndim) if k != axis]
+        shape = [tensor.shape[k] for k in rest]
+        at = tensor.transpose(rest + [axis]).reshape(math.prod(shape), tensor.shape[axis])
+        call.memo["l", key, axis] = (at, shape)
+    return call.memo["l", key, axis]
 
 
 def _oracle_sum(kern, h_vals, n, x=None):
@@ -261,9 +332,13 @@ def moment_oracle(kern, h, n, resolution=64):
 
     Each non-crossing partition contributes a tensor-quadrature integral with
     one midpoint variable per part; the Kreweras complement supplies the
-    cumulant factors.  Each kernel tensor is evaluated once per call, one per
-    order, and shared by every partition.  Cost grows with the largest
-    complement part, so keep the grid modest at high orders.
+    cumulant factors.  One memo per call holds every subtree message under
+    its signature, so partitions that share a subtree share its message, bit
+    for bit (at n = 6, 66 tensor contractions in place of 232).  The kernel
+    tensors, one per order, come from the grid_tensor cache that the solver
+    shares; the call keeps at most two reshaped copies of the order-3 tensor
+    (2 G^3 floats, 4 MiB at G = 64), freed when it returns.  Cost grows with
+    the largest complement part, so keep the grid modest at high orders.
     """
     return _oracle_sum(kern, checked_weight(h, resolution), n)
 

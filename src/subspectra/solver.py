@@ -17,7 +17,6 @@ Kernels supply R0/F0 either as closed forms, as constants (position-free
 ensembles), or through order <= 3 tensor quadrature.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -34,8 +33,8 @@ from .errors import (
 )
 from .freeprob import (MOMENTS, FormalSeries, SpectralDensity, checked_ladder,
                        density_from_resolvent)
-from .grids import as_grid_values, checked_weight, midpoints
-from .kernels import kernel_tensor
+from .grids import as_grid_values, checked_weight
+from .kernels import grid_tensor
 
 GENERIC_MAX_ORDER = 3
 RELAX_BUDGET = 400  # relaxation iterations per column before Newton-Krylov
@@ -65,17 +64,6 @@ class FixedPointState:
 # ---------------------------------------------------------------------------
 # R0 / F0 dispatch
 # ---------------------------------------------------------------------------
-
-@functools.lru_cache(maxsize=GENERIC_MAX_ORDER)
-def _kernel_tensor(kern, n, resolution):
-    """Order-n kernel values on the grid, cached per (kernel, grid).
-
-    The cache holds exactly one kernel's tensors of orders 1..3 on one grid,
-    so it pins at most 3 * MAX_TENSOR_ELEMS floats (48 MiB), and the kernels
-    it evicts can be freed.
-    """
-    return kernel_tensor(kern, *[midpoints(resolution)] * n)
-
 
 def _contract_rows(tensor, rows):
     """tensor[..., y] rows[r, y] for every row of a real (m, G) stack, as one BLAS product."""
@@ -148,12 +136,12 @@ def _generic_terms(kern, a):
     top = _generic_orders(kern)
     cplx = np.iscomplexobj(a)
     rows = np.concatenate([a.real, a.imag]) if cplx else a
-    terms = [np.broadcast_to(_kernel_tensor(kern, 1, G), a.shape)]
+    terms = [np.broadcast_to(grid_tensor(kern, 1, G), a.shape)]
     if top >= 2:
-        c = _contract_rows(_kernel_tensor(kern, 2, G), rows) / G
+        c = _contract_rows(grid_tensor(kern, 2, G), rows) / G
         terms.append(c[:k] + 1j * c[k:] if cplx else c)
     if top >= 3:
-        s = _contract_rows(_kernel_tensor(kern, 3, G), rows)  # (t3 Re a, t3 Im a) per row
+        s = _contract_rows(grid_tensor(kern, 3, G), rows)  # (t3 Re a, t3 Im a) per row
         if cplx:
             r = s @ np.tile(np.stack([a.real, a.imag], axis=-1), (2, 1, 1))
             c = (r[:k, :, 0] - r[k:, :, 1]) + 1j * (r[:k, :, 1] + r[k:, :, 0])

@@ -159,6 +159,32 @@ def test_malformed_config_exits_2_without_files(tmp_path):
     assert not any(out.iterdir())
 
 
+ORACLE_CFG = {"ensemble": "wigner", "params": {"s": 1.0},
+              "h": {"type": "named", "name": "full"}, "grid": 16, "n_max": 2}
+
+
+@pytest.mark.parametrize("command,change", [
+    ("oracle", {"h": {"type": "intervals", "intervals": [[0.5]]}}),
+    ("oracle", {"h": {"type": "table", "values": ["a", 1]}}),
+    ("oracle", {"ensemble": "haar", "params": {"atoms": [[0.5]]}}),
+    ("oracle", {"ensemble": "haar", "params": {"cumulants": [0.5, "b"]}}),
+    ("oracle", {"grid": True}),
+    ("oracle", {"n_max": True}),
+    ("oracle", {"params": {"s": True}}),
+    ("simulate", {"ensemble": "haar", "params": {"atoms": [[0.5]]},
+                  "mc": {"n_dim": 8, "samples": 1}}),
+], ids=["h-interval", "h-table", "atoms", "cumulants", "grid-bool", "n_max-bool",
+        "float-bool", "simulate-atoms"])
+def test_malformed_entries_exit_2_without_files(tmp_path, command, change):
+    cfg = dict(ORACLE_CFG, **change)
+    if command == "simulate":
+        cfg = {k: cfg[k] for k in ("ensemble", "params", "mc")}
+    out = tmp_path / "e_out"
+    assert cli.main([command, "--config", write_cfg(tmp_path, "e.json", cfg),
+                     "--out", str(out)]) == 2
+    assert not any(out.iterdir())
+
+
 def test_unparseable_config_exits_2(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

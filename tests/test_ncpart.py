@@ -18,12 +18,13 @@ from subspectra import (
     moment_oracle,
 )
 from subspectra import cumulants_to_moments, free_cumulants, haar_kernel, wigner_kernel
-from subspectra import ncpart
+from subspectra import kernels, moment_series, ncpart
 from subspectra.errors import InvalidPartitionError, SizeLimitError, UnsupportedOrderError
 from subspectra.grids import midpoints
 from subspectra.kernels import LocalCumulantKernel, kernel_tensor
+from subspectra.ncpart import _part_tree, _white_order_check
 
-from conftest import bernoulli_cumulants, smooth_kernel
+from conftest import bernoulli_cumulants, rel_close, smooth_kernel
 
 
 @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 5), (4, 14), (5, 42), (6, 132)])
@@ -125,7 +126,124 @@ def test_cached_part_tree_leaves_oracle_bitwise_unchanged(h_profiles_64, monkeyp
 
     cached = values()
     monkeypatch.setattr(ncpart, "_part_tree", _reference_part_tree)
-    assert cached == values()
+    ncpart._signature.cache_clear()  # signatures are read off the part tree
+    try:
+        assert cached == values()
+    finally:
+        ncpart._signature.cache_clear()
+
+
+def _reference_partition_marked(kern, pi, h_vals, grid, memo, x=None):
+    """The oracle's partition contribution, one np.tensordot per tree edge.
+
+    Memoizes tensors per call but recomputes every message of every partition.
+    """
+    G = len(grid)
+    root_coord, root_h = grid, h_vals
+    if x is not None:
+        root_coord = np.array([float(x)])
+        root_h = np.array([float(np.interp(x, grid, h_vals))])
+    pistar, root, black_whites, white_slots = _part_tree(pi)
+    _white_order_check(kern, pistar)
+    if any(kern.zero_beyond is not None and len(q) > kern.zero_beyond
+           for q in pistar.parts):
+        return np.zeros_like(root_coord)
+
+    if kern.constant:
+        coef = 1.0
+        for q in pistar.parts:
+            if ("g", len(q)) not in memo:
+                memo["g", len(q)] = kern.constant_value(len(q))
+            coef *= memo["g", len(q)]
+            if coef == 0.0:
+                return np.zeros_like(root_coord)
+        for idx, p in enumerate(pi.parts):
+            if idx != root:
+                if ("h", len(p)) not in memo:
+                    memo["h", len(p)] = float(np.mean(h_vals ** len(p)))
+                coef *= memo["h", len(p)]
+        return coef * root_h ** len(pi.parts[root])
+
+    def msg_black(b, skip_white):
+        vec = (root_h if b == root else h_vals) ** len(pi.parts[b])
+        for w in black_whites[b]:
+            if w != skip_white:
+                vec = vec * msg_white(w, b)
+        return vec
+
+    def msg_white(w, parent_black):
+        slot_blacks = white_slots[w]
+        key = tuple(x is not None and b == root for b in slot_blacks)
+        if key not in memo:
+            memo[key] = kernel_tensor(kern, *(root_coord if b == root else grid
+                                              for b in slot_blacks))
+        tensor = memo[key]
+        # contract the lowest remaining axis that is not the parent's
+        keep = slot_blacks.index(parent_black)
+        for ax, b in enumerate(slot_blacks):
+            if ax != keep:
+                tensor = np.tensordot(tensor, msg_black(b, w), axes=([int(ax > keep)], [0])) / G
+        return tensor  # 1-d over the parent axis
+
+    out = msg_black(root, None)
+    del msg_black  # break the closure cycle, so the memo is freed without waiting for gc
+    return out
+
+
+def _reference_oracle(kern, h_vals, n, x=None):
+    grid, memo = midpoints(len(h_vals)), {}
+    total = 0.0
+    for pi in enumerate_nc(n):
+        total += float(np.mean(_reference_partition_marked(kern, pi, h_vals, grid, memo, x)))
+    return total
+
+
+def _random_kernel(data, cumulants):
+    """A smooth order-3 kernel, or a constant kernel with cumulants drawn from cumulants."""
+    if data.draw(st.booleans()):
+        return smooth_kernel(data.draw(st.integers(0, 10 ** 6)))
+    return constant_kernel(data.draw(cumulants))
+
+
+def _random_profile(data, G, top):
+    """A weight profile on G cells in [0, top], zero on some cells."""
+    vals = data.draw(st.lists(st.floats(0.0, top), min_size=G, max_size=G))
+    zeros = data.draw(st.lists(st.booleans(), min_size=G, max_size=G))
+    return np.where(zeros, 0.0, vals)
+
+
+ANY_CUMULANTS = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6)
+# Variance-led cumulants, as for C01's Bernoulli kernel.  Larger or mixed-sign
+# higher cumulants can make solver.estimate_radius fall well short of the
+# spectral radius, and moment_series then fails on its circle of nodes.
+VARIANCE_LED_CUMULANTS = st.tuples(
+    st.floats(-1.0, 1.0), st.floats(0.25, 1.0),
+    st.lists(st.floats(-0.1, 0.1), max_size=4)).map(lambda t: [t[0], t[1], *t[2]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_oracle_bitwise_equals_reference(data):
+    kern = _random_kernel(data, ANY_CUMULANTS)
+    G = data.draw(st.integers(8, 32))
+    h = _random_profile(data, G, 2.0)
+    x = data.draw(st.one_of(st.none(), st.floats(0.0, 1.0)))
+    for n in range(1, 7):
+        got = (moment_oracle(kern, h, n, G) if x is None
+               else marked_moment_oracle(kern, h, n, x, G))
+        assert float(got).hex() == float(_reference_oracle(kern, h, n, x)).hex(), n
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_oracle_equals_solver_moments(data):
+    kern = _random_kernel(data, VARIANCE_LED_CUMULANTS)
+    G = data.draw(st.integers(8, 32))
+    h = _random_profile(data, G, 1.0)
+    n_max = data.draw(st.integers(1, 6))
+    phis = moment_series(kern, h, n_max, resolution=G).asarray()
+    oracle = [moment_oracle(kern, h, n, G) for n in range(1, n_max + 1)]
+    assert rel_close(phis, oracle, rel=1e-6, floor=1e-8), f"solver {phis} vs oracle {oracle}"
 
 
 def test_constant_kernel_reproduces_moment_cumulant_relation():
@@ -183,25 +301,40 @@ def test_marked_oracle_pins_and_integrates():
 
 def test_oracle_evaluates_each_tensor_once_per_call():
     base = smooth_kernel(3)
-    orders, outputs = [], []
+    G = 16
+    grid_orders, pinned, outputs = [], [], []
 
     def fn(n, xs):
         out = base.fn(n, xs)
-        orders.append(n)
-        outputs.append(weakref.ref(out))
+        shape = tuple(np.shape(x) for x in xs)  # a pinned root's axis has length 1
+        if all(len(x_shape) == n and G in x_shape for x_shape in shape):
+            grid_orders.append(n)
+        else:
+            pinned.append((n, np.shape(out)))
+            outputs.append(weakref.ref(out))
         return out
 
     counted = LocalCumulantKernel(name="counted", fn=fn, zero_beyond=3)
-    h = GridFunction.from_callable(lambda x: 0.5 + x / 4, 16)
+    h = GridFunction.from_callable(lambda x: 0.5 + x / 4, G)
+    want = [moment_oracle(base, h, n, G) for n in range(1, 7)]
+    want_marked = marked_moment_oracle(base, h, 6, 0.3, G)
+    kernels.grid_tensor.cache_clear()
+    # the solver and the oracle share the grid tensors: one evaluation per order
+    phis = moment_series(counted, h, 6, resolution=G).asarray()
+    values = [moment_oracle(counted, h, n, G) for n in range(1, 7)]
+    assert sorted(grid_orders) == [1, 2, 3] and not pinned
+    assert values == want and rel_close(phis, values)
     gc.disable()
     try:
-        value = moment_oracle(counted, h, 6, 16)
-        # the memo lives for one call only and is freed without a gc pass
-        assert all(ref() is None for ref in outputs)
+        marked = marked_moment_oracle(counted, h, 6, 0.3, G)
+        # the per-call memo (messages, layouts, pinned-root tensors) is freed
+        # without a gc pass: the pinned-root tensors are held by it alone
+        assert pinned and all(ref() is None for ref in outputs)
     finally:
         gc.enable()
-    assert sorted(orders) == [1, 2, 3]
-    assert value == moment_oracle(base, h, 6, 16)
+    assert sorted(grid_orders) == [1, 2, 3]
+    assert len(set(pinned)) == len(pinned)  # each pinned tensor once per call
+    assert marked == want_marked
     assert not kernel_tensor(base, midpoints(4), midpoints(4)).flags.writeable
     from subspectra import qssep_kernel
     grid = midpoints(4)  # the order-1 recursion hands back its coordinate array

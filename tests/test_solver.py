@@ -33,7 +33,7 @@ from subspectra.errors import (
 )
 from subspectra.freeprob import richardson_extrapolate
 from subspectra.grids import midpoints
-from subspectra.kernels import LocalCumulantKernel
+from subspectra.kernels import LocalCumulantKernel, grid_tensor
 
 from conftest import bernoulli_cumulants, smooth_kernel
 
@@ -200,18 +200,20 @@ def test_generic_r0_and_f0_match_einsum(G, top, complex_a, k, seed):
 
 def test_kernel_tensor_cache_is_bounded():
     # distinct generic kernels fill the cache; it keeps the latest kernel's
-    # tensors of every order and lets the kernels it evicted be freed
-    sv._kernel_tensor.cache_clear()
+    # tensors of every order, shares them with the oracle, and lets the
+    # kernels it evicted be freed
+    grid_tensor.cache_clear()
     a = np.full(16, 0.1 + 0.2j)
     refs = []
     for seed in range(5):
         kern = smooth_kernel(seed)
         sv.r0_apply(kern, a)
         refs.append(weakref.ref(kern))
-    info = sv._kernel_tensor.cache_info()
+    info = grid_tensor.cache_info()
     assert info.currsize == info.maxsize == 3
     sv.r0_apply(kern, a)
-    assert sv._kernel_tensor.cache_info().misses == info.misses
+    moment_oracle(kern, np.ones(16), 4, 16)
+    assert grid_tensor.cache_info().misses == info.misses
     del kern
     gc.collect()
     assert [r() is None for r in refs] == [True] * 4 + [False]

@@ -262,7 +262,8 @@ def cmd_spectrum(cfg, out_dir):
         "atom_weight": dens.atom_weight,
         "block_fraction": dens.block_fraction,
         "gap_count": int(dens.gaps.sum()) if dens.gaps is not None else 0,
-        "solver": {"iterations": dens.iterations.tolist(), "fallbacks": dens.fallbacks},
+        "solver": {"iterations": dens.iterations.tolist(), "fallbacks": dens.fallbacks,
+                   "predicted": dens.predicted, "predictor_rejected": dens.predictor_rejected},
         "settings_hash": _settings_hash(cfg),
         "content_hash": digest,
     }

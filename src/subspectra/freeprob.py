@@ -252,12 +252,14 @@ class SpectralDensity:
     the total-spectrum continuous part is ``block_fraction * rho`` and the
     atom at zero carries weight ``atom_weight = 1 - block_fraction``.
     Solver scans also record ``iterations``, the fixed-point iterations per
-    grid point, and ``fallbacks``, the continuation columns finished by
-    Newton-Krylov.
+    grid point, ``fallbacks``, the continuation columns finished by
+    Newton-Krylov, ``predicted``, the points solved from a predictor
+    extrapolation, and ``predictor_rejected``, the extrapolations not used.
     """
 
     def __init__(self, lam, rho, atom_weight=0.0, block_fraction=1.0,
-                 support=None, samples=None, gaps=None, iterations=None, fallbacks=None):
+                 support=None, samples=None, gaps=None, iterations=None, fallbacks=None,
+                 predicted=None, predictor_rejected=None):
         self.lam = np.asarray(lam, dtype=float)
         self.rho = np.asarray(rho, dtype=float)
         if self.lam.shape != self.rho.shape:
@@ -269,6 +271,8 @@ class SpectralDensity:
         self.gaps = None if gaps is None else np.asarray(gaps, dtype=bool)
         self.iterations = iterations
         self.fallbacks = fallbacks
+        self.predicted = predicted
+        self.predictor_rejected = predictor_rejected
 
     def rho_total(self):
         """Continuous part of the total-spectrum density."""

@@ -179,6 +179,13 @@ def _white_order_check(kern, pistar):
 
 
 @functools.lru_cache(maxsize=None)
+def _widest(pi):
+    """Size of the largest part of pi's Kreweras complement: the highest kernel
+    order pi needs.  Cached like _part_tree."""
+    return max(len(q) for q in _part_tree(pi)[0].parts)
+
+
+@functools.lru_cache(maxsize=None)
 def _signature(pi, pinned):
     """Subtree signature of pi's part tree, read from the root part down.
 
@@ -207,7 +214,7 @@ def _signature(pi, pinned):
 _Call = collections.namedtuple("_Call", "kern grid h_vals root_coord root_h memo")
 
 
-def _partition_marked(kern, pi, h_vals, grid, memo, x=None):
+def _partition_marked(pi, call, pinned):
     """Contribution of one partition, as values over the root variable.
 
     Message passing over the bipartite part tree: each part of pi is a
@@ -215,10 +222,10 @@ def _partition_marked(kern, pi, h_vals, grid, memo, x=None):
     factor vertex carrying a cumulant tensor; the two kinds alternate and
     every element of {1..n} is one tree edge.  Non-root variables are
     integrated with the midpoint rule; the root runs over the grid, or is
-    pinned to x with its weight interpolated from the grid.
+    pinned to one point with the weight the caller interpolated there.
 
-    Everything lives in the caller's memo, one per oracle call, so each
-    piece of tensor work is done once per call:
+    Everything lives in the call's memo, one per oracle call, so each piece
+    of tensor work is done once per call:
 
     * each message, under its subtree signature (_signature), so partitions
       that share a subtree share its message, bit for bit;
@@ -235,17 +242,16 @@ def _partition_marked(kern, pi, h_vals, grid, memo, x=None):
       with the memo.
 
     A constant kernel memoizes its order-k value under ("g", k) and the
-    weight moment mean(h^k) under ("h", k) instead.
+    weight moment mean(h^k) under ("h", k) instead.  The kernel-order checks
+    compare the partition's cached widest complement part (_widest) once.
     """
-    root_coord, root_h = grid, h_vals
-    if x is not None:
-        root_coord = np.array([float(x)])
-        root_h = np.array([float(np.interp(x, grid, h_vals))])
+    kern, memo = call.kern, call.memo
     pistar, root, _, _ = _part_tree(pi)
-    _white_order_check(kern, pistar)
-    if any(kern.zero_beyond is not None and len(q) > kern.zero_beyond
-           for q in pistar.parts):
-        return np.zeros_like(root_coord)
+    widest = _widest(pi)
+    if not kern.supports(widest):
+        _white_order_check(kern, pistar)  # raises, naming the first part too wide
+    if kern.zero_beyond is not None and widest > kern.zero_beyond:
+        return np.zeros_like(call.root_coord)
 
     if kern.constant:
         coef = 1.0
@@ -254,16 +260,15 @@ def _partition_marked(kern, pi, h_vals, grid, memo, x=None):
                 memo["g", len(q)] = kern.constant_value(len(q))
             coef *= memo["g", len(q)]
             if coef == 0.0:
-                return np.zeros_like(root_coord)
+                return np.zeros_like(call.root_coord)
         for idx, p in enumerate(pi.parts):
             if idx != root:
                 if ("h", len(p)) not in memo:
-                    memo["h", len(p)] = float(np.mean(h_vals ** len(p)))
+                    memo["h", len(p)] = float(np.mean(call.h_vals ** len(p)))
                 coef *= memo["h", len(p)]
-        return coef * root_h ** len(pi.parts[root])
+        return coef * call.root_h ** len(pi.parts[root])
 
-    call = _Call(kern, grid, h_vals, root_coord, root_h, memo)
-    return _message(_signature(pi, x is not None), call)
+    return _message(_signature(pi, pinned), call)
 
 
 def _message(sig, call):
@@ -317,13 +322,18 @@ def _layout(key, axis, call):
 
 
 def _oracle_sum(kern, h_vals, n, x=None):
-    """Sum over the partitions of {1..n}, with one memo for the call."""
+    """Sum over the partitions of {1..n}, with one memo and one root weight for the call."""
     if not 1 <= n <= ORACLE_MAX_N:
         raise SizeLimitError(f"oracle order must be in 1..{ORACLE_MAX_N}, got {n}")
-    grid, memo = midpoints(len(h_vals)), {}
+    grid = midpoints(len(h_vals))
+    root_coord, root_h = grid, h_vals
+    if x is not None:
+        root_coord = np.array([float(x)])
+        root_h = np.array([float(np.interp(x, grid, h_vals))])
+    call = _Call(kern, grid, h_vals, root_coord, root_h, {})
     total = 0.0
     for pi in enumerate_nc(n):
-        total += float(np.mean(_partition_marked(kern, pi, h_vals, grid, memo, x)))
+        total += float(np.mean(_partition_marked(pi, call, x is not None)))
     return total
 
 

@@ -18,7 +18,7 @@ ensembles), or through order <= 3 tensor quadrature.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,6 +40,7 @@ GENERIC_MAX_ORDER = 3
 RELAX_BUDGET = 400  # relaxation iterations per column before Newton-Krylov
 MAX_NEWTON = 60  # Newton-Krylov steps per column
 ANNEAL_START, ANNEAL_STEPS = 0.5, 6  # density scans: imaginary parts geomspace(0.5, eps, 6)
+PREDICTOR_POINTS = 3  # density scans: converged points behind each quadratic prediction
 MOMENT_NODES = 24  # moment_series: circle nodes ...
 CIRCLE_FACTOR = 3.0  # ... on the circle of radius CIRCLE_FACTOR * spectral radius
 
@@ -192,6 +193,12 @@ def _wrong_side(im_denom, z):
     return np.any(im_denom * np.sign(np.imag(z))[..., None] < 0, axis=-1)
 
 
+def _off_branch(denom, z):
+    """Whether z - h b (last axis) comes within 1e-13 max(1, |z|) of 0 or is on the wrong side."""
+    return ((np.min(np.abs(denom), axis=-1) < 1e-13 * np.maximum(1.0, np.abs(z)))
+            | _wrong_side(denom.imag, z))
+
+
 def _branch_map(kern, h_vals, z, root):
     """The update map b -> (a, R0[a]), a = h / (z - h b), of one column.
 
@@ -199,7 +206,7 @@ def _branch_map(kern, h_vals, z, root):
     """
     def apply_map(b):
         denom = z - h_vals * b
-        if np.any(np.abs(denom) < 1e-13 * max(1.0, abs(z))) or _wrong_side(denom.imag, z):
+        if _off_branch(denom, z):
             raise BranchError(f"z - h*b left the physical branch (z={z})")
         a = h_vals / denom
         return a, np.asarray(r0_apply(kern, a, root=root), dtype=complex)
@@ -382,8 +389,7 @@ def _solve_columns(kern, h_vals, zs, warm, tol):
     slots = np.arange(depth - 1)
     for it in range(1, RELAX_BUDGET + 1):
         denom = zc[:, None] - h_vals * b
-        off = (np.min(np.abs(denom), axis=1) < 1e-13 * np.maximum(1.0, np.abs(zc))) \
-            | _wrong_side(denom.imag, zc)
+        off = _off_branch(denom, zc)
         if off.any():
             denom[off] = 1.0
         a = h_vals / denom
@@ -462,27 +468,48 @@ def _solve_columns(kern, h_vals, zs, warm, tol):
 # spectral density
 # ---------------------------------------------------------------------------
 
+def _extrapolate(history, lam):
+    """(b, root) at lam by Lagrange extrapolation through the (lam, b, root) points of history."""
+    xs = [x for x, _, _ in history]
+    weights = [math.prod((lam - xm) / (xj - xm) for m, xm in enumerate(xs) if m != j)
+               for j, xj in enumerate(xs)]
+    return (sum(w * b for w, (_, b, _) in zip(weights, history)),
+            complex(sum(w * root for w, (_, _, root) in zip(weights, history))))
+
+
 def _scan_columns(kern, h_vals, z, tol, chunk):
     """Every (chunk, eps) continuation column of a density scan, in lock-step.
 
     z is the (rungs, L) array of lam + i eps.  Column c walks its chunk of
-    one row of z, each point warm-started from the one before; at the chunk
-    start, and after a gap, it anneals in along geomspace(ANNEAL_START, eps,
-    ANNEAL_STEPS).  Each round solves the next z of every live column in one
-    _solve_columns call.  Returns the block resolvent at z (NaN at a gap),
-    the iterations per lambda summed over rungs, and the number of columns
-    finished by Newton-Krylov.
+    one row of z; at the chunk start, and after a gap, it anneals in along
+    geomspace(ANNEAL_START, eps, ANNEAL_STEPS) from a cold start.  Every
+    other point is a predictor-corrector step: the column keeps the b and
+    root of its last PREDICTOR_POINTS converged points at its eps (anneal
+    steps do not count; a gap or the chunk start empties it), and once it
+    holds two or more, the point starts from their Lagrange extrapolation in
+    the true lambda values (linear from two, quadratic from three).  A
+    prediction whose z - h b fails the branch guard (_off_branch) starts
+    from the previous point instead, and so does, once more, a predicted
+    point whose solve fails, so a gap is recorded only where the plain warm
+    start fails too.  Chunks still restart, so the result does not depend on
+    how the columns are batched.  Each round solves the next z of every live
+    column in one _solve_columns call (plus one for its retries).  Returns
+    the block resolvent at z (NaN at a gap), the iterations per lambda
+    summed over rungs, the number of columns finished by Newton-Krylov, and
+    the counts of points solved from a prediction and of predictions
+    rejected (by the guard, or retried).
     """
     R, L = z.shape
     mask = h_vals > 0
     ell = float(np.mean(mask))
     g = np.full((R, L), np.nan, dtype=complex)
     iterations = np.zeros(L, dtype=int)
-    fallbacks = 0
+    fallbacks = predicted = rejected = 0
     cols = [(r, start, min(start + chunk, L)) for r in range(R) for start in range(0, L, chunk)]
     pos = [start for _, start, _ in cols]
     todo = [None] * len(cols)  # imaginary parts still to solve at pos, in order
     states = [None] * len(cols)
+    history = [[] for _ in cols]  # (lam, b, root) of the latest converged points at eps
     while True:
         live = [c for c, (_, _, stop) in enumerate(cols) if pos[c] < stop]
         if not live:
@@ -493,41 +520,69 @@ def _scan_columns(kern, h_vals, z, tol, chunk):
                 cold = states[c] is None
                 todo[c] = list(np.geomspace(ANNEAL_START, e, ANNEAL_STEPS)) if cold else [e]
         zs = [complex(z[cols[c][0], pos[c]].real, todo[c][0]) for c in live]
-        solved, handed = _solve_columns(kern, h_vals, zs, [states[c] for c in live], tol)
+        starts, guessed = [states[c] for c in live], []
+        for j, (c, zc) in enumerate(zip(live, zs)):
+            if len(history[c]) > 1:
+                b, root = _extrapolate(history[c], zc.real)
+                if _off_branch(zc - h_vals * b, zc):
+                    rejected += 1
+                else:
+                    starts[j] = replace(starts[j], b=b, root=root)
+                    guessed.append(j)
+        solved, handed = _solve_columns(kern, h_vals, zs, starts, tol)
+        retry = [j for j in guessed if not isinstance(solved[j], FixedPointState)]
+        if retry:
+            again, more = _solve_columns(kern, h_vals, [zs[j] for j in retry],
+                                         [states[live[j]] for j in retry], tol)
+            handed += more
+            for j, st in zip(retry, again):
+                solved[j] = st
         fallbacks += handed
+        predicted += len(guessed) - len(retry)
+        rejected += len(retry)
         for c, st in zip(live, solved):
             i = pos[c]
             if not isinstance(st, FixedPointState):
                 st = None  # a gap; the column re-anneals at its next lambda
             states[c] = st
             if st is None:
-                todo[c] = []
+                todo[c], history[c] = [], []
             else:
                 iterations[i] += st.iterations
                 todo[c].pop(0)
             if not todo[c]:
                 if st is not None:
+                    lam = z[cols[c][0], i].real
                     g[cols[c][0], i] = np.mean(mask / (st.z - h_vals * st.b)) / ell
+                    history[c] = [p for p in history[c] if p[0] != lam][1 - PREDICTOR_POINTS:] \
+                        + [(lam, st.b, st.root)]
                 pos[c] += 1
                 todo[c] = None
-    return g, iterations, fallbacks
+    return g, iterations, fallbacks, predicted, rejected
 
 
 def spectral_density(kern, h, lam_grid, eps=1e-3, eps_ladder=None,
                      resolution=None, tol=1e-10, chunk=64):
     """Spectral density of the weighted slice along a real grid.
 
-    Scans z = lambda + i*eps with warm-start continuation inside fixed-size
-    chunks of the grid.  Each (chunk, eps) pair is one continuation column,
-    and all columns advance in lock-step as one batched fixed-point
-    iteration; chunks re-initialize, so results do not depend on how the
-    columns are batched (for tensor-quadrature kernels, up to rounding in
-    the batched products).  The block resolvent of the scan is inverted by
-    freeprob.density_from_resolvent, with Richardson extrapolation to the
-    real axis when an eps ladder is given.  Returns the block-normalized
-    density together with the zero-eigenvalue atom weight 1 - ell carried by
-    the total spectrum, the fixed-point iterations per lambda (summed over
-    the ladder) and the number of columns finished by Newton-Krylov.  A bad
+    Scans z = lambda + i*eps by predictor-corrector continuation inside
+    fixed-size chunks of the grid.  Each (chunk, eps) pair is one
+    continuation column, and all columns advance in lock-step as one
+    batched fixed-point iteration.  A column starts each point from the
+    quadratic Lagrange extrapolation in lambda of its last three converged
+    points (fewer just after a chunk start or a gap, where it anneals in
+    cold); a prediction that puts z - h b off the physical branch, or whose
+    solve fails, falls back to the previous point's state, so the predictor
+    adds no gap.  Chunks still re-initialize, so results do not depend on
+    how the columns are batched (for tensor-quadrature kernels, up to
+    rounding in the batched products).  The block resolvent of the scan is
+    inverted by freeprob.density_from_resolvent, with Richardson
+    extrapolation to the real axis when an eps ladder is given.  Returns the
+    block-normalized density together with the zero-eigenvalue atom weight
+    1 - ell carried by the total spectrum, the fixed-point iterations per
+    lambda (summed over the ladder), the number of columns finished by
+    Newton-Krylov, and the counts of points solved from a prediction
+    (predicted) and of predictions not used (predictor_rejected).  A bad
     eps or ladder raises DomainError; isolated convergence failures are
     marked as gaps, not fatal.
     """
@@ -538,7 +593,7 @@ def spectral_density(kern, h, lam_grid, eps=1e-3, eps_ladder=None,
         checked_ladder(eps, eps_ladder)
         return SpectralDensity(lam_grid, np.zeros(lam_grid.size), atom_weight=1.0,
                                block_fraction=0.0, iterations=np.zeros(lam_grid.size, dtype=int),
-                               fallbacks=0)
+                               fallbacks=0, predicted=0, predictor_rejected=0)
     scan = []
 
     def block_resolvent(z):
@@ -548,7 +603,7 @@ def spectral_density(kern, h, lam_grid, eps=1e-3, eps_ladder=None,
 
     dens = density_from_resolvent(block_resolvent, lam_grid, eps, eps_ladder)
     dens.atom_weight, dens.block_fraction = 1.0 - ell, ell
-    dens.iterations, dens.fallbacks = scan
+    dens.iterations, dens.fallbacks, dens.predicted, dens.predictor_rejected = scan
     dens.support = dens.detect_support()
     return dens
 

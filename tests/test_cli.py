@@ -49,6 +49,9 @@ def test_spectrum_wigner_writes_density_and_sidecar(tmp_path):
     # iterations per lambda, summed over rungs, and columns finished by Newton-Krylov
     assert len(side["solver"]["iterations"]) == 47 and min(side["solver"]["iterations"]) > 0
     assert side["solver"]["fallbacks"] == 0
+    # every point after the first two of its chunk (one here) gets a prediction
+    solver = side["solver"]
+    assert solver["predicted"] > 0 and solver["predicted"] + solver["predictor_rejected"] == 45
 
 
 def test_spectrum_deterministic_bytes(tmp_path):

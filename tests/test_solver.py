@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from subspectra import (
     GridFunction,
+    QssepBlockSpec,
     fixed_point_solve,
     free_cumulants,
     grand_potential,
@@ -17,6 +18,7 @@ from subspectra import (
     moment_oracle,
     moment_series,
     qssep_kernel,
+    qssep_support,
     resolvent,
     spectral_density,
     wigner_kernel,
@@ -318,6 +320,100 @@ def test_lockstep_scan_matches_per_lambda_loop(kern, h, lam):
     # more work than the per-lambda loop
     assert dens.fallbacks == 0
     assert dens.iterations.sum() <= 1.02 * iterations.sum()
+
+
+C07_LADDER = [4e-3, 2e-3, 1e-3]
+
+
+def _c07_scan(tol=1e-10):
+    """The C07 subblock scan: QSSEP on [0.4, 0.7], G = 400, 300 lambda, three rungs."""
+    zm, zp = qssep_support(QssepBlockSpec(0.4, 0.7))
+    lam = np.linspace(max(zm - 0.05, 0.01), min(zp + 0.03, 0.99), 300)
+    return spectral_density(qssep_kernel(), GridFunction.indicator([(0.4, 0.7)], 400), lam,
+                            eps_ladder=C07_LADDER, tol=tol)
+
+
+@pytest.fixture(scope="module")
+def c07_rounds():
+    """The C07 scan, with the lock-step iterations of each _solve_columns round."""
+    rounds, engine = [], sv._solve_columns
+
+    def recorded(*args):
+        states, handed = engine(*args)
+        rounds.append(max(s.iterations for s in states if isinstance(s, sv.FixedPointState)))
+        return states, handed
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sv, "_solve_columns", recorded)
+        dens = _c07_scan()
+    return dens, rounds
+
+
+def test_predicted_scan_stays_at_tight_tolerance_density(c07_rounds):
+    dens, _ = c07_rounds
+    tight = _c07_scan(tol=1e-13)
+    assert int(dens.gaps.sum()) == 0 and int(tight.gaps.sum()) == 0
+    assert np.max(np.abs(dens.rho - tight.rho)) <= 2e-8
+    assert dens.predicted > 0
+
+
+def test_predictor_cuts_lockstep_iterations(c07_rounds):
+    # the plain warm start from the previous lambda took 710 lock-step
+    # iterations over the scan's rounds; the quadratic predictor takes 495
+    dens, rounds = c07_rounds
+    assert sum(rounds) <= 560
+    assert dens.predicted + dens.predictor_rejected > 0.9 * dens.lam.size * len(C07_LADDER)
+
+
+@pytest.mark.parametrize("kern,h,lam", [
+    (qssep_kernel(), GridFunction.indicator([(0.4, 0.7)], 64), np.linspace(0.03, 0.99, 40)),
+    (wigner_kernel(1.0), GridFunction.indicator([(0.25, 0.75)], 64), np.linspace(-2.5, 2.5, 40)),
+], ids=["qssep", "wigner"])
+def test_rejected_predictions_fall_back_to_plain_warm_start(kern, h, lam, monkeypatch):
+    # predictions off the branch (guard) and predicted points whose solve fails
+    # (retry) both restart from the previous point: the scan is then the plain
+    # continuation, bit for bit
+    ladder = [2e-3, 1e-3]
+    with monkeypatch.context() as m:  # every prediction puts z - h b in the lower half-plane
+        m.setattr(sv, "_extrapolate", lambda history, x: (history[-1][1] + 1e3j, history[-1][2]))
+        guarded = spectral_density(kern, h, lam, eps_ladder=ladder, chunk=16)
+    engine, plain = sv._solve_columns, {}  # id -> every state returned, kept alive
+
+    def failing(kern, h_vals, zs, warm, tol):  # every predicted start ends unmapped
+        predicted = [w is not None and id(w) not in plain for w in warm]
+        states, handed = engine(kern, h_vals, zs, warm, tol)
+        states = [BranchError("predicted") if p else s for p, s in zip(predicted, states)]
+        plain.update((id(s), s) for s in states)
+        return states, handed
+
+    with monkeypatch.context() as m:
+        m.setattr(sv, "_solve_columns", failing)
+        retried = spectral_density(kern, h, lam, eps_ladder=ladder, chunk=16)
+    for dens in (guarded, retried):
+        assert dens.predicted == 0 and dens.predictor_rejected == 2 * (lam.size - 2 * 3)
+    np.testing.assert_array_equal(guarded.rho, retried.rho)
+    np.testing.assert_array_equal(guarded.iterations, retried.iterations)
+    rho, gaps, _ = _reference_scan(kern, h.values, lam, ladder, chunk=16)
+    assert not guarded.gaps.any() and not gaps.any()
+    assert np.all(np.abs(guarded.rho - rho) <= 1e-8)
+
+
+@settings(max_examples=20, deadline=None)
+@given(family=st.sampled_from(["qssep", "wigner"]), G=st.integers(8, 40),
+       lo=st.floats(0.05, 0.6), cut=st.floats(0.0, 0.5), size=st.integers(4, 30),
+       lam_lo=st.floats(-0.5, 0.5), width=st.floats(0.2, 2.5),
+       ladder=st.sampled_from([[1e-3], [2e-3, 1e-3], [4e-3, 2e-3, 1e-3]]),
+       chunk=st.sampled_from([5, 16, 64]))
+def test_predicted_scan_gaps_are_reference_gaps(family, G, lo, cut, size, lam_lo, width,
+                                                ladder, chunk):
+    # the predictor retries a failed predicted point from the plain warm start,
+    # so it adds no gap to the per-lambda loop's
+    kern = qssep_kernel() if family == "qssep" else wigner_kernel(1.0)
+    h = GridFunction.indicator([(lo, min(lo + 0.15 + cut, 1.0))], G)  # wider than a cell
+    lam = np.linspace(lam_lo, lam_lo + width, size)
+    dens = spectral_density(kern, h, lam, eps_ladder=ladder, chunk=chunk)
+    _, gaps, _ = _reference_scan(kern, h.values, lam, ladder, chunk)
+    assert not np.any(dens.gaps & ~gaps)
 
 
 def _assert_stationary(kern, h_vals, state, tol=1e-10):

@@ -1,11 +1,12 @@
 """Command-line front end: validated JSON configs, deterministic file output.
 
 Subcommands: spectrum, simulate, oracle, compare, diagnose.  Every run is
-driven by a single JSON config (unknown keys rejected), writes CSV tables
-with 17-significant-digit floats plus a JSON sidecar embedding the resolved
-configuration and content hashes, and is byte-reproducible from (config,
-seed).  Exit codes: 0 ok, 2 config error, 3 simulation instability,
-4 unsupported request, 5 convergence failure.
+driven by a single JSON config, checked against its command's table before
+anything is computed or written.  It writes CSV tables with 17-significant-
+digit floats plus a JSON sidecar embedding the config as given and content
+hashes, and is byte-reproducible from (config, seed).  Exit codes: 0 ok,
+2 config error (an unknown or missing key, a wrong type or shape), 3 simulation
+instability, 4 unsupported request (a value out of domain), 5 convergence failure.
 """
 
 import argparse
@@ -50,43 +51,126 @@ NAMED_PROFILES = {
 }
 
 
-def _require_keys(section, allowed, where):
-    unknown = sorted(set(section) - set(allowed))
+# ---------------------------------------------------------------------------
+# config tables
+# ---------------------------------------------------------------------------
+# A table maps each key to (kind, default, *rules).  A kind is int, float,
+# str, object (any value), [kind] (a list), a tuple of kinds (a list of just
+# those) or a table (a nested object; a function of the object may return
+# it).  Booleans are not numbers.  A rule is (test, error class, text), or a
+# choice: a dict from the key's values to the tables of the keys read with it
+# (the other choices' keys, as the other ensembles' mc keys, are allowed unread).
+
+REQUIRED = object()
+AT_LEAST_1 = (lambda n: n >= 1, DomainError, "must be at least 1")
+COUNT = (lambda n: n >= 1, ConfigError, "must be at least 1")
+POSITIVE = (lambda v: 0 < v < np.inf, DomainError, "must be positive and finite")
+VALUES = ([float], REQUIRED, (len, ConfigError, "must not be empty"))
+H = {"type": (str, REQUIRED, {"intervals": {"intervals": ([(float, float)], REQUIRED)},
+                              "table": {"values": VALUES},
+                              "named": {"name": (str, REQUIRED, dict.fromkeys(NAMED_H, {}))}})}
+S_SQUARED = {"type": (str, REQUIRED, {"table": {"values": VALUES}, "named": {
+    "name": (str, REQUIRED, dict.fromkeys(NAMED_PROFILES, {}))}})}
+ATOMS = [(float, float)]  # [location, weight] pairs
+LOCATIONS = (lambda a: all(np.isfinite(x) for x, _ in a), DomainError, "need finite locations")
+WIGNER = {"s": (float, 1.0, POSITIVE)}
+
+
+def _haar(params):
+    """The haar/custom params table: cumulants, when given, are read alone."""
+    if "cumulants" in params:
+        return {"cumulants": VALUES, "atoms": (object, None), "order": (object, None)}
+    return {"atoms": (ATOMS, REQUIRED), "order": (int, 12, AT_LEAST_1)}
+
+
+KERNEL = {"command": (str, None), "ensemble": (str, REQUIRED, {
+    "wigner": {"params": (WIGNER, {})}, "haar": {"params": (_haar, {})},
+    "inhomogeneous": {"params": ({"s_squared": (S_SQUARED, REQUIRED)}, {})},
+    "custom": {"params": (_haar, {})}, "qssep": {"params": ({}, {})}}), "h": (H, REQUIRED)}
+SPECTRUM = {"grid": (int, 400, AT_LEAST_1), **KERNEL,
+            "lambda_grid": ({"min": (float, REQUIRED), "max": (float, REQUIRED),
+                             "count": (int, REQUIRED, AT_LEAST_1)}, REQUIRED),
+            "eps": (float, 1e-3), "eps_ladder": ([object], None),
+            "emit_closed_form": (object, False), "interval": (object, None)}  # read on use
+ORACLE = {"n_max": (int, 4, (lambda n: 1 <= n <= 6, UnsupportedOrderError, "must lie in 1..6")),
+          "grid": (int, 64, AT_LEAST_1), **KERNEL}
+DIAGNOSE = {"grid": (int, 256, AT_LEAST_1), **KERNEL, "order": (int, 2)}
+COMPARE = {"command": (str, None), "files": ((str, str), REQUIRED)}
+
+MC = {"interval": ((float, float), [0.0, 1.0]), "bins": (int, 60, AT_LEAST_1),
+      # an empty reference (null, "", 0, false) means none
+      "reference": (object, None, (lambda r: not r or isinstance(r, str), ConfigError,
+                                   "must be a file path"))}
+MC_QSSEP = {
+    "n_sites": (int, REQUIRED), "realizations": (int, 1, COUNT),
+    "dt": (float, 0.1, POSITIVE), "t_end": (float, 5000.0, POSITIVE),
+    "t_stat": (float, None, (np.isfinite, DomainError, "must be finite")),
+    # a list of numbers ("" and {} read as empty); QssepConfig checks four, nonnegative
+    "rates": (object, [0.0, 1.0, 1.0, 0.0], (lambda r: isinstance(r, (list, str, dict)) and all(
+        isinstance(x, (int, float)) for x in r), ConfigError, "must be a list of numbers"),
+        (lambda r: np.isfinite(list(r)).all(), DomainError, "must be finite")),
+    # a negative stride keeps every |stride|-th step, as step % stride == 0 says
+    "snapshot_stride": (int, 100, (bool, DomainError, "must not be 0")),
+    "integrator": (object, "unitary")}
+MC_SAMPLED = {"n_dim": (int, REQUIRED), "samples": (int, 10, COUNT)}
+MC_FOR_QSSEP = ({**dict.fromkeys(MC_SAMPLED, (object, None)), **MC, **MC_QSSEP}, REQUIRED)
+MC_FOR_SAMPLED = ({**dict.fromkeys(MC_QSSEP, (object, None)), **MC, **MC_SAMPLED}, REQUIRED)
+SIMULATE = {"command": (str, None), "ensemble": (str, REQUIRED, {
+    "qssep": {"mc": MC_FOR_QSSEP, "params": ({}, {})},
+    "wigner": {"mc": MC_FOR_SAMPLED, "params": (WIGNER, {})},
+    "haar": {"mc": MC_FOR_SAMPLED, "params": ({"atoms": (ATOMS, REQUIRED, LOCATIONS)}, {})}}),
+    "seed": (int, 0, (lambda s: 0 <= s < 2 ** 64, DomainError, "must lie in [0, 2**64)"))}
+
+
+def read(section, table, where):
+    """The values of a config object under table, defaults filled in: a ConfigError for
+    an unknown or missing key or a wrong kind, a rule's error for a value out of domain."""
+    table = table if isinstance(table, dict) else table(section)
+    allowed = set(table).union(*[t for _, _, *rules in table.values() for r in rules
+                                 if isinstance(r, dict) for t in r.values()])
+    unknown = sorted(set(section) - allowed)
     if unknown:
-        raise ConfigError(f"unknown keys {unknown} in {where} "
-                          f"(allowed: {sorted(allowed)})")
+        raise ConfigError(f"unknown keys {unknown} in {where} (allowed: {sorted(allowed)})")
+    return _entries(section, table, where)
 
 
-def _get(cfg, key, kind, where, default=None, required=False):
-    if key not in cfg:
-        if required:
-            raise ConfigError(f"missing required key '{key}' in {where}")
-        return default
-    val = cfg[key]
-    if kind is float and _is_number(val):
-        val = float(val)
-    if not isinstance(val, kind) or (kind is int and isinstance(val, bool)):
-        raise ConfigError(f"key '{key}' in {where} must be {kind}, got {type(val).__name__}")
-    return val
+def _entries(section, table, where):
+    out = {}
+    for key, (kind, default, *rules) in table.items():
+        name = f"{where}.{key}"
+        if key not in section:
+            if default is REQUIRED:
+                raise ConfigError(f"missing required key '{key}' in {where}")
+            out[key] = read(default, kind, name) if isinstance(default, dict) else default
+            continue
+        try:
+            val = out[key] = _coerce(section[key], kind, name)
+        except TypeError:
+            shape = ("an object" if not isinstance(kind, (type, list, tuple))
+                     else str(kind).replace("<class '", "").replace("'>", ""))
+            raise ConfigError(f"{name} must be {shape}, got {section[key]!r}") from None
+        for rule in rules:
+            if isinstance(rule, dict):
+                if val not in rule:
+                    raise ConfigError(f"{name} must be one of {sorted(rule)}, got {val!r}")
+                out.update(_entries(section, rule[val], where))
+            elif not rule[0](val):
+                raise rule[1](f"{name} {rule[2]}, got {val!r}")
+    return out
 
 
-def _is_number(val):
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
-
-
-def _numbers(vals, where, count=None):
-    """vals as a list of floats; a ConfigError unless it is a list of count numbers."""
-    if (not isinstance(vals, list) or not all(map(_is_number, vals))
-            or (count is not None and len(vals) != count)):
-        size = "a list of numbers" if count is None else f"a list of {count} numbers"
-        raise ConfigError(f"{where} must be {size}, got {vals!r}")
-    return [float(v) for v in vals]
-
-
-def _atoms(params):
-    """A discrete measure from params.atoms, a list of [location, weight] pairs."""
-    atoms = _get(params, "atoms", list, "params", required=True)
-    return freeprob.Measure1D([_numbers(atom, "each of params.atoms", 2) for atom in atoms])
+def _coerce(val, kind, name):
+    """val read as kind; a TypeError if it does not fit."""
+    if isinstance(kind, list) and isinstance(val, list):
+        return [_coerce(v, kind[0], name) for v in val]
+    if isinstance(kind, tuple) and isinstance(val, list) and len(val) == len(kind):
+        return [_coerce(v, k, name) for v, k in zip(val, kind)]
+    if isinstance(kind, type) and not (isinstance(val, bool) and kind in (int, float)):
+        if isinstance(val, (int, float) if kind is float else kind):
+            return float(val) if kind is float else val
+    elif not isinstance(kind, (list, tuple)) and isinstance(val, dict):
+        return read(val, kind, name)
+    raise TypeError
 
 
 def load_config(path):
@@ -100,73 +184,36 @@ def load_config(path):
     return cfg
 
 
-def _table_values(spec, where, resolution):
-    """The 'values' table of spec, resampled piecewise-constant onto the grid."""
-    vals = np.asarray(_numbers(_get(spec, "values", list, where, required=True),
-                               f"'values' in {where}"))
-    if vals.size == 0:
-        raise ConfigError(f"empty value table in {where}")
-    return GridFunction(vals)(midpoints(resolution))
+def _resampled(values, resolution):
+    """A value table resampled piecewise-constant onto the grid."""
+    return GridFunction(np.asarray(values))(midpoints(resolution))
 
 
-def build_h(spec, resolution):
-    _require_keys(spec, {"type", "intervals", "values", "name"}, "h")
-    kind = _get(spec, "type", str, "h", required=True)
-    if kind == "intervals":
-        ivals = _get(spec, "intervals", list, "h", required=True)
-        return GridFunction.indicator([_numbers(iv, "each h interval", 2) for iv in ivals],
-                                      resolution)
-    if kind == "table":
-        return GridFunction(_table_values(spec, "h", resolution))
-    if kind == "named":
-        name = _get(spec, "name", str, "h", required=True)
-        if name not in NAMED_H:
-            raise ConfigError(f"unknown named h profile {name!r} "
-                              f"(have {sorted(NAMED_H)})")
-        return GridFunction.from_callable(NAMED_H[name], resolution)
-    raise ConfigError(f"unknown h type {kind!r}")
+def build_h(h, resolution):
+    if h["type"] == "intervals":
+        return GridFunction.indicator(h["intervals"], resolution)
+    if h["type"] == "table":
+        return GridFunction(_resampled(h["values"], resolution))
+    return GridFunction.from_callable(NAMED_H[h["name"]], resolution)
 
 
-def build_kernel(cfg, resolution):
-    ens = _get(cfg, "ensemble", str, "config", required=True)
-    params = _get(cfg, "params", dict, "config", default={})
+def build_kernel(ens, params, resolution):
+    """The kernel of a checked ensemble and its params table."""
     if ens == "wigner":
-        _require_keys(params, {"s"}, "params")
-        return ensembles.wigner_kernel(_get(params, "s", float, "params", default=1.0))
+        return ensembles.wigner_kernel(params["s"])
     if ens == "inhomogeneous":
-        _require_keys(params, {"s_squared"}, "params")
-        spec = _get(params, "s_squared", dict, "params", required=True)
-        _require_keys(spec, {"type", "name", "values"}, "s_squared")
-        kind = _get(spec, "type", str, "s_squared", required=True)
-        if kind == "named":
-            name = _get(spec, "name", str, "s_squared", required=True)
-            if name not in NAMED_PROFILES:
-                raise ConfigError(f"unknown variance profile {name!r}")
-            s2 = NAMED_PROFILES[name](midpoints(resolution))
-        elif kind == "table":
-            s2 = _table_values(spec, "s_squared", resolution)
-        else:
-            raise ConfigError(f"unknown s_squared type {kind!r}")
+        spec = params["s_squared"]
+        s2 = (NAMED_PROFILES[spec["name"]](midpoints(resolution)) if spec["type"] == "named"
+              else _resampled(spec["values"], resolution))
         if not np.all(s2 > 0):
             raise DomainError("variance profile s(x)^2 must be positive")
         return ensembles.inhomogeneous_wigner_kernel(GridFunction(np.sqrt(s2)), resolution)
-    if ens in ("haar", "custom"):
-        _require_keys(params, {"cumulants", "atoms", "order"}, "params")
-        if "cumulants" in params:
-            kappa = _numbers(_get(params, "cumulants", list, "params"), "params.cumulants")
-            if not kappa:
-                raise ConfigError("params.cumulants must not be empty")
-            kappa = freeprob.free_cumulants(kappa)
-        elif "atoms" in params:
-            kappa = _atoms(params).free_cumulants(
-                _get(params, "order", int, "params", default=12))
-        else:
-            raise ConfigError(f"{ens} ensemble needs 'cumulants' or 'atoms'")
-        return ensembles.haar_kernel(kappa)
     if ens == "qssep":
-        _require_keys(params, set(), "params")
         return ensembles.qssep_kernel()
-    raise ConfigError(f"unknown ensemble {ens!r}")
+    if "cumulants" in params:  # haar and custom
+        return ensembles.haar_kernel(freeprob.free_cumulants(params["cumulants"]))
+    atoms = freeprob.Measure1D(params["atoms"])
+    return ensembles.haar_kernel(atoms.free_cumulants(params["order"]))
 
 
 # ---------------------------------------------------------------------------
@@ -234,24 +281,32 @@ def read_density_csv(path):
 # subcommands
 # ---------------------------------------------------------------------------
 
-SPECTRUM_KEYS = {"command", "ensemble", "params", "h", "grid", "eps", "eps_ladder",
-                 "lambda_grid", "emit_closed_form", "interval"}
+def _setup(cfg, table):
+    """The checked config of spectrum, oracle or diagnose, with its kernel and h."""
+    c = read(cfg, table, "config")
+    return c, build_kernel(c["ensemble"], c["params"], c["grid"]), build_h(c["h"], c["grid"])
 
 
 def cmd_spectrum(cfg, out_dir):
-    _require_keys(cfg, SPECTRUM_KEYS, "config")
-    resolution = _get(cfg, "grid", int, "config", default=400)
-    kern = build_kernel(cfg, resolution)
-    h = build_h(_get(cfg, "h", dict, "config", required=True), resolution)
-    lg = _get(cfg, "lambda_grid", dict, "config", required=True)
-    _require_keys(lg, {"min", "max", "count"}, "lambda_grid")
-    lam = np.linspace(_get(lg, "min", float, "lambda_grid", required=True),
-                      _get(lg, "max", float, "lambda_grid", required=True),
-                      _get(lg, "count", int, "lambda_grid", required=True))
-    eps = _get(cfg, "eps", float, "config", default=1e-3)
-    ladder = _get(cfg, "eps_ladder", list, "config")
+    c, kern, h = _setup(cfg, SPECTRUM)
+    resolution, lg, eps = c["grid"], c["lambda_grid"], c["eps"]
+    lam = np.linspace(lg["min"], lg["max"], lg["count"])
+    dens = solver.spectral_density(kern, h, lam, eps=eps, eps_ladder=c["eps_ladder"])
+    closed = None
+    if c["emit_closed_form"] and c["ensemble"] == "qssep":
+        iv = c["interval"]
+        if iv is None:
+            nz = np.nonzero(h.values > 0)[0]
+            if not nz.size:
+                raise DomainError("h vanishes everywhere: the closed form needs an 'interval'")
+            iv = (nz[0] / h.resolution, (nz[-1] + 1) / h.resolution)
+        try:
+            iv = float(iv[0]), float(iv[1])
+        except (TypeError, ValueError, LookupError):
+            raise ConfigError(f"config.interval must be two numbers, got {iv!r}") from None
+        inner = lam[(lam > 0) & (lam < 1)]
+        closed = ensembles.qssep_subblock_density(ensembles.QssepBlockSpec(*iv), inner)
 
-    dens = solver.spectral_density(kern, h, lam, eps=eps, eps_ladder=ladder)
     csv_path = os.path.join(out_dir, "density.csv")
     digest = write_csv(csv_path,
                        {"lambda": dens.lam, "rho_block": dens.rho, "rho_total": dens.rho_total()},
@@ -268,15 +323,7 @@ def cmd_spectrum(cfg, out_dir):
         "content_hash": digest,
     }
     outputs = [csv_path]
-    if cfg.get("emit_closed_form") and cfg.get("ensemble") == "qssep":
-        iv = cfg.get("interval")
-        hv = h.values
-        if iv is None:
-            nz = np.nonzero(hv > 0)[0]
-            iv = (nz[0] / h.resolution, (nz[-1] + 1) / h.resolution)
-        spec = ensembles.QssepBlockSpec(float(iv[0]), float(iv[1]))
-        inner = lam[(lam > 0) & (lam < 1)]
-        closed = ensembles.qssep_subblock_density(spec, inner)
+    if closed is not None:
         cf_path = os.path.join(out_dir, "closed_form.csv")
         cf_digest = write_csv(cf_path,
                               {"lambda": closed.lam, "rho_block": closed.rho,
@@ -294,48 +341,22 @@ def cmd_spectrum(cfg, out_dir):
     return EXIT_OK
 
 
-SIMULATE_KEYS = {"command", "ensemble", "params", "mc", "seed"}
-MC_KEYS = {"n_sites", "dt", "t_end", "t_stat", "rates", "realizations",
-           "snapshot_stride", "interval", "bins", "integrator", "reference",
-           "n_dim", "samples"}
-SIMULATE_PARAMS = {"qssep": set(), "wigner": {"s"}, "haar": {"atoms"}}
-
-
 def cmd_simulate(cfg, out_dir):
-    _require_keys(cfg, SIMULATE_KEYS, "config")
-    ens = _get(cfg, "ensemble", str, "config", required=True)
-    if ens not in SIMULATE_PARAMS:
-        raise ConfigError(f"ensemble {ens!r} has no simulation path")
-    params = _get(cfg, "params", dict, "config", default={})
-    _require_keys(params, SIMULATE_PARAMS[ens], "params")
-    mc_cfg = _get(cfg, "mc", dict, "config", required=True)
-    _require_keys(mc_cfg, MC_KEYS, "mc")
-    seed = _get(cfg, "seed", int, "config", default=0)
-    interval = _numbers(_get(mc_cfg, "interval", list, "mc", default=[0.0, 1.0]),
-                        "mc.interval", 2)
-    n_dim = _get(mc_cfg, "n_sites" if ens == "qssep" else "n_dim", int, "mc", required=True)
+    c = read(cfg, SIMULATE, "config")
+    ens, mc_cfg, seed = c["ensemble"], c["mc"], c["seed"]
+    interval, bins, ref = mc_cfg["interval"], mc_cfg["bins"], mc_cfg["reference"]
+    n_dim = mc_cfg["n_sites" if ens == "qssep" else "n_dim"]
     rmt_mc.subblock_indices(n_dim, interval)  # before any trajectory is stepped
-    bins = _get(mc_cfg, "bins", int, "mc", default=60)
-    ref = mc_cfg.get("reference")
     ana = freeprob.SpectralDensity(*read_density_csv(ref)) if ref else None
     qssep = None
 
     if ens == "qssep":
-        realizations = _get(mc_cfg, "realizations", int, "mc", default=1)
-        if realizations < 1:
-            raise ConfigError("realizations must be >= 1")
         run_cfg = rmt_mc.QssepConfig(
-            n_sites=n_dim,
-            dt=_get(mc_cfg, "dt", float, "mc", default=0.1),
-            t_end=_get(mc_cfg, "t_end", float, "mc", default=5000.0),
-            t_stat=_get(mc_cfg, "t_stat", float, "mc"),
-            rates=tuple(mc_cfg.get("rates", (0.0, 1.0, 1.0, 0.0))),
-            seed=seed,
-            snapshot_stride=_get(mc_cfg, "snapshot_stride", int, "mc", default=100),
-            integrator=mc_cfg.get("integrator", "unitary"))
+            n_sites=n_dim, rates=tuple(mc_cfg["rates"]), seed=seed,
+            **{k: mc_cfg[k] for k in ("dt", "t_end", "t_stat", "snapshot_stride", "integrator")})
         eigs = []
         qssep = {"hermiticity_drift": [], "stationarity_index": []}  # per realization
-        for r in range(realizations):
+        for r in range(mc_cfg["realizations"]):
             run = rmt_mc.qssep_run(dataclasses.replace(run_cfg, stream=r))
             for snap in run.snapshots:
                 eigs.append(rmt_mc.subblock_eigs(snap, interval))
@@ -343,22 +364,16 @@ def cmd_simulate(cfg, out_dir):
             qssep["stationarity_index"].append(run.stationarity_index)
         eigs = np.concatenate(eigs)
     elif ens == "wigner":
-        samples = _get(mc_cfg, "samples", int, "mc", default=10)
-        if samples < 1:
-            raise ConfigError("samples must be >= 1")
-        s = _get(params, "s", float, "params", default=1.0)
+        s = c["params"]["s"]
         eigs = np.concatenate([
             rmt_mc.subblock_eigs(rmt_mc.sample_wigner(n_dim, s, seed, stream), interval)
-            for stream in range(samples)])
+            for stream in range(mc_cfg["samples"])])
     else:
-        samples = _get(mc_cfg, "samples", int, "mc", default=10)
-        if samples < 1:
-            raise ConfigError("samples must be >= 1")
-        meas = _atoms(params)
+        meas = freeprob.Measure1D(c["params"]["atoms"])
         eigs = np.concatenate([
             rmt_mc.subblock_eigs(
                 rmt_mc.sample_haar_conjugated(n_dim, meas, seed, stream), interval)
-            for stream in range(samples)])
+            for stream in range(mc_cfg["samples"])])
 
     eigs = np.sort(eigs)
     samples_path = os.path.join(out_dir, "eigenvalues.csv")
@@ -381,18 +396,9 @@ def cmd_simulate(cfg, out_dir):
     return EXIT_OK
 
 
-ORACLE_KEYS = {"command", "ensemble", "params", "h", "grid", "n_max"}
-
-
 def cmd_oracle(cfg, out_dir):
-    _require_keys(cfg, ORACLE_KEYS, "config")
-    n_max = _get(cfg, "n_max", int, "config", default=4)
-    if not 1 <= n_max <= 6:
-        raise UnsupportedOrderError(
-            f"oracle comparison supports n_max in 1..6, got {n_max}")
-    resolution = _get(cfg, "grid", int, "config", default=64)
-    kern = build_kernel(cfg, resolution)
-    h = build_h(_get(cfg, "h", dict, "config", required=True), resolution)
+    c, kern, h = _setup(cfg, ORACLE)
+    n_max, resolution = c["n_max"], c["grid"]
     phis_oracle = [ncpart.moment_oracle(kern, h, n, resolution)
                    for n in range(1, n_max + 1)]
     phis_solver = solver.moment_series(kern, h, n_max, resolution=resolution).coeffs
@@ -412,17 +418,10 @@ def cmd_oracle(cfg, out_dir):
     return EXIT_OK
 
 
-DIAGNOSE_KEYS = {"command", "ensemble", "params", "h", "grid", "order"}
-
-
 def cmd_diagnose(cfg, out_dir):
-    _require_keys(cfg, DIAGNOSE_KEYS, "config")
-    resolution = _get(cfg, "grid", int, "config", default=256)
-    kern = build_kernel(cfg, resolution)
-    h = build_h(_get(cfg, "h", dict, "config", required=True), resolution)
-    order = _get(cfg, "order", int, "config", default=2)
-    ratio, s_h = ensembles.nonfreeness_diagnostic(kern, h, order=order,
-                                                  resolution=resolution)
+    c, kern, h = _setup(cfg, DIAGNOSE)
+    ratio, s_h = ensembles.nonfreeness_diagnostic(kern, h, order=c["order"],
+                                                  resolution=c["grid"])
     gap = float(np.max(np.abs(ratio.asarray() - s_h.asarray())))
     verdict = "free-compatible" if gap < 1e-8 else "not-free-compatible"
     payload = {"config": cfg, "ratio_coeffs": list(ratio.coeffs),
@@ -435,14 +434,8 @@ def cmd_diagnose(cfg, out_dir):
     return EXIT_OK
 
 
-COMPARE_KEYS = {"command", "files"}
-
-
 def cmd_compare(cfg, out_dir):
-    _require_keys(cfg, COMPARE_KEYS, "config")
-    files = _get(cfg, "files", list, "config", required=True)
-    if len(files) != 2:
-        raise ConfigError("compare needs exactly two density CSV files")
+    files = read(cfg, COMPARE, "config")["files"]
     lam_a, rho_a = read_density_csv(files[0])
     lam_b, rho_b = read_density_csv(files[1])
     dens_a = freeprob.SpectralDensity(lam_a, rho_a)

@@ -493,7 +493,7 @@ def qssep_subblock_density(spec, lam_grid):
     dsigma = theta / (theta^2 + log(r)^2) / (pi lam (1 - lam)) inside the
     closed-form support, tracked by Newton continuation from the support
     midpoint outward; one edge cell is left at zero where the critical
-    roots merge.  Isolated tracking failures are recorded as gaps.
+    roots merge.  Isolated tracking failures are gaps: NaN, flagged in gaps.
     """
     lam_grid = np.asarray(lam_grid, dtype=float)
     if np.any((lam_grid <= 0.0) | (lam_grid >= 1.0)):
@@ -514,6 +514,7 @@ def qssep_subblock_density(spec, lam_grid):
                     root = solve_Q(spec, lam_grid[i], warm_start=root)
                 except (RootTrackingError, DomainError):
                     gaps[i] = True
+                    rho[i] = np.nan
                     root = None
                     continue
                 lam = lam_grid[i]

@@ -258,6 +258,9 @@ def qssep_run(cfg):
         onset = detect_stationarity(trace_series, max(20, steps // 20))
         stat_step = steps // 2 if onset is None else onset
         kept = [(step, snap) for step, snap in kept if step >= stat_step]
+    if not kept:
+        raise DomainError(f"no snapshot in the sampling window t in [{stat_step * cfg.dt:g}, "
+                          f"{cfg.t_end:g}) at a stride of {cfg.snapshot_stride} steps")
 
     return QssepRun(config=cfg, times=np.asarray([step * cfg.dt for step, _ in kept]),
                     snapshots=[snap for _, snap in kept], trace_series=trace_series,

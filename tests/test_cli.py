@@ -1,13 +1,18 @@
 import json
+import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from subspectra import cli, rmt_mc
-from subspectra.errors import DomainError
+from subspectra import cli, ensembles, rmt_mc
+from subspectra.errors import DomainError, RootTrackingError
 
 
 def test_import_loads_no_scipy():
@@ -135,19 +140,24 @@ def test_bad_eps_ladder_exits_4_without_files(tmp_path, ladder):
     assert not any(out.iterdir())
 
 
-@pytest.mark.parametrize("change", [
-    {"ensemble": "haar", "params": {"atoms": [[0.0, 0.6], [1.0, 0.6]]}},
-    {"h": {"type": "intervals", "intervals": [[0.5, 1.5]]}},
-    {"eps_ladder": ["x"]},
-], ids=["atom-weights", "h-interval", "ladder-entry"])
-def test_out_of_domain_input_exits_4_without_files(tmp_path, change):
-    cfg = write_cfg(tmp_path, "d.json", dict({
+@pytest.mark.parametrize("command,change", [
+    ("spectrum", {"ensemble": "haar", "params": {"atoms": [[0.0, 0.6], [1.0, 0.6]]}}),
+    ("spectrum", {"h": {"type": "intervals", "intervals": [[0.5, 1.5]]}}),
+    ("spectrum", {"eps_ladder": ["x"]}),
+    # simulate reads params.s through the same table as spectrum, oracle and diagnose
+    ("simulate", {"params": {"s": -1.0}, "mc": {"n_dim": 8, "samples": 1}}),
+], ids=["atom-weights", "h-interval", "ladder-entry", "simulate-s"])
+def test_out_of_domain_input_exits_4_without_files(tmp_path, command, change):
+    cfg = dict({
         "ensemble": "wigner", "params": {"s": 1.0},
         "h": {"type": "named", "name": "full"}, "grid": 32,
         "lambda_grid": {"min": -1.0, "max": 1.0, "count": 5},
-    }, **change))
+    }, **change)
+    if command == "simulate":
+        cfg = {k: cfg[k] for k in ("ensemble", "params", "mc")}
     out = tmp_path / "d_out"
-    assert cli.main(["spectrum", "--config", cfg, "--out", str(out)]) == 4
+    assert cli.main([command, "--config", write_cfg(tmp_path, "d.json", cfg),
+                     "--out", str(out)]) == 4
     assert not any(out.iterdir())
 
 
@@ -397,3 +407,231 @@ def test_compare_command(tmp_path):
     assert cli.main(["compare", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
     payload = json.loads((tmp_path / "c" / "compare.json").read_text())
     assert payload["l1"] == pytest.approx(0.02, rel=1e-6)
+
+
+QSSEP_SPECTRUM = {"ensemble": "qssep", "h": {"type": "intervals", "intervals": [[0.4, 0.7]]},
+                  "grid": 16, "emit_closed_form": True,
+                  "lambda_grid": {"min": 0.05, "max": 0.95, "count": 5}}
+HAAR_SPECTRUM = dict(QSSEP_SPECTRUM, ensemble="haar",
+                     params={"atoms": [[0.0, 0.5], [1.0, 0.5]], "order": 4})
+SHORT_MC = {"n_sites": 10, "dt": 0.1, "t_end": 2.0, "t_stat": 1.0, "snapshot_stride": 2,
+            "interval": [0.4, 0.7], "bins": 6}
+
+
+def _sim(**mc):
+    return {"ensemble": "qssep", "seed": 7, "mc": dict(SHORT_MC, **mc)}
+
+
+@pytest.mark.parametrize("command,cfg,code", [
+    ("spectrum", dict(QSSEP_SPECTRUM, lambda_grid={"min": 0.1, "max": 0.9, "count": -1}), 4),
+    ("spectrum", dict(QSSEP_SPECTRUM, lambda_grid={"min": 0.1, "max": 0.9, "count": 0}), 4),
+    ("spectrum", dict(QSSEP_SPECTRUM, interval=[0.4]), 2),
+    ("spectrum", dict(QSSEP_SPECTRUM, interval="ab"), 2),
+    ("spectrum", dict(QSSEP_SPECTRUM, h={"type": "table", "values": [0.0, 0.0]}), 4),
+    ("spectrum", dict(HAAR_SPECTRUM, params={"atoms": [[0.0, 1.0]], "order": 0}), 4),
+    ("spectrum", dict(HAAR_SPECTRUM, params={"atoms": [[0.0, 1.0]], "order": -2}), 4),
+    ("compare", {"files": [None, None]}, 2),
+    ("compare", {"files": [1, 2]}, 2),
+    ("simulate", _sim(reference=5), 2),
+    ("simulate", _sim(rates="abcd"), 2),
+    ("simulate", _sim(rates=[None, 1, 1, 0]), 2),
+    ("simulate", _sim(snapshot_stride=0), 4),
+    ("simulate", _sim(bins=0), 4),
+    ("simulate", _sim(bins=-2), 4),
+    ("simulate", _sim(t_end=math.nan), 4),
+    ("simulate", _sim(dt=math.inf), 4),
+    ("simulate", dict(_sim(), seed=-1), 4),
+    ("simulate", {"ensemble": "haar", "params": {"atoms": [[0.0, 0.5], [math.inf, 0.5]]},
+                  "mc": {"n_dim": 8, "samples": 1}}, 4),
+    ("simulate", _sim(rates=[math.nan, 1, 1, 0]), 4),
+    ("spectrum", dict(QSSEP_SPECTRUM, grid=-1), 4),
+], ids=["count-negative", "count-zero", "interval-short", "interval-string", "h-zero",
+        "order-zero", "order-negative", "files-null", "files-int", "reference-int",
+        "rates-string", "rates-null", "stride-zero", "bins-zero", "bins-negative",
+        "t_end-nan", "dt-inf", "seed-negative", "atom-location-inf", "rates-nan",
+        "grid-negative"])
+def test_configs_that_crashed_exit_2_or_4_before_any_work(tmp_path, monkeypatch,
+                                                           command, cfg, code):
+    # each of these used to end in a traceback (exit 1), some after stepping a trajectory
+    monkeypatch.setattr(rmt_mc, "qssep_run", lambda cfg: pytest.fail("stepped"))
+    out = tmp_path / "x"
+    assert cli.main([command, "--config", write_cfg(tmp_path, "x.json", cfg),
+                     "--out", str(out)]) == code
+    assert not any(out.iterdir())
+
+
+WIGNER_SPECTRUM = {"ensemble": "wigner", "h": {"type": "named", "name": "full"}, "grid": 16,
+                   "eps": 5e-3, "lambda_grid": {"min": -1.5, "max": 1.5, "count": 3}}
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("spectrum", dict(QSSEP_SPECTRUM, interval=None)),
+    ("spectrum", dict(QSSEP_SPECTRUM, emit_closed_form=False, interval="ab")),
+    ("spectrum", dict(WIGNER_SPECTRUM, emit_closed_form=True, interval=[0.4])),
+    ("spectrum", dict(WIGNER_SPECTRUM, h={"type": "named", "name": "full", "values": "x"})),
+    ("spectrum", dict(HAAR_SPECTRUM, params={"cumulants": [0.5, 0.25], "order": 0})),
+    ("spectrum", dict(HAAR_SPECTRUM, params={"cumulants": [0.5, 0.25], "atoms": "x"})),
+    ("simulate", _sim(reference=None)),
+    ("simulate", _sim(reference="")),
+    ("simulate", {"ensemble": "wigner", "mc": {"n_dim": 6, "samples": 1, "bins": 3, "dt": "x"}}),
+], ids=["interval-null", "interval-without-closed-form", "interval-not-qssep",
+        "h-other-type-key", "cumulants-with-order-0", "cumulants-with-atoms", "reference-null",
+        "reference-empty", "mc-key-of-other-ensemble"])
+def test_null_and_unused_keys_are_not_read(tmp_path, command, cfg):
+    # null stands for a missing optional key, and a key the run does not use is not checked
+    out = tmp_path / "ok"
+    assert cli.main([command, "--config", write_cfg(tmp_path, "ok.json", cfg),
+                     "--out", str(out)]) == 0
+
+
+def test_integer_file_path_exits_2_with_stdout_open(tmp_path):
+    # open(1) would read the process's stdout and close it, so run in a process of its own
+    import subspectra
+    cfg = write_cfg(tmp_path, "fd.json", {"files": [1, 2]})
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(subspectra.__file__)))
+    out = subprocess.run([sys.executable, "-m", "subspectra.cli", "compare", "--config", cfg,
+                          "--out", str(tmp_path / "fd")], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 2
+    assert "config error" in out.stderr
+
+
+def test_simulate_without_a_snapshot_in_the_window_exits_4(tmp_path, capsys):
+    # 10 steps, a stride of 100 and no t_stat: the detected window holds no stride step
+    cfg = write_cfg(tmp_path, "w.json", {
+        "ensemble": "qssep", "seed": 7,
+        "mc": {"n_sites": 10, "dt": 0.1, "t_end": 1.0, "interval": [0.4, 0.7], "bins": 6}})
+    out = tmp_path / "w"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 4
+    assert "no snapshot in the sampling window" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_closed_form_gap_written_as_nan(tmp_path, monkeypatch):
+    cfg = dict(QSSEP_SPECTRUM, interval=[0.4, 0.7],
+               lambda_grid={"min": 0.05, "max": 0.95, "count": 19})
+    lam = np.linspace(0.05, 0.95, 19)
+    z_minus, z_plus = ensembles.qssep_support(ensembles.QssepBlockSpec(0.4, 0.7))
+    lost = int(np.argmin(np.abs(lam - 0.5 * (z_minus + z_plus))))
+    solve = ensembles.solve_Q
+
+    def lose_one(spec, at, warm_start=None):
+        if at == lam[lost]:
+            raise RootTrackingError("lost the root")
+        return solve(spec, at, warm_start=warm_start)
+
+    monkeypatch.setattr(ensembles, "solve_Q", lose_one)
+    out = tmp_path / "cf"
+    assert cli.main(["spectrum", "--config", write_cfg(tmp_path, "cf.json", cfg),
+                     "--out", str(out)]) == 0
+    rows = [row.split(",") for row in (out / "closed_form.csv").read_text().splitlines()[2:]]
+    assert len(rows) == 19 and rows[lost][1:] == ["nan", "nan"]
+    assert all("nan" not in row for i, row in enumerate(rows) if i != lost)
+
+
+def test_readme_configs_read_against_their_tables():
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme) as fh:
+        blocks = re.findall(r"```json\n(.*?)```", fh.read(), re.S)
+    spectrum, simulate = (json.loads(block) for block in blocks)
+    assert cli.read(spectrum, cli.SPECTRUM, "config")["lambda_grid"]["count"] == 400
+    assert cli.read(simulate, cli.SIMULATE, "config")["mc"]["realizations"] == 1
+
+
+# small-grid variants of the README and test configs, mutated by the fuzz below
+FUZZ_BASES = [
+    ("spectrum", dict(QSSEP_SPECTRUM, eps_ladder=[4e-3, 2e-3, 1e-3], interval=[0.4, 0.7])),
+    ("spectrum", {"ensemble": "wigner", "params": {"s": 1.0}, "grid": 16, "eps": 5e-3,
+                  "h": {"type": "table", "values": [1.0, 0.5]},
+                  "lambda_grid": {"min": -1.5, "max": 1.5, "count": 5}}),
+    ("spectrum", {"ensemble": "inhomogeneous", "grid": 16,
+                  "params": {"s_squared": {"type": "table", "values": [1.0, 2.0]}},
+                  "h": {"type": "named", "name": "full"},
+                  "lambda_grid": {"min": -2.0, "max": 2.0, "count": 5}}),
+    ("spectrum", HAAR_SPECTRUM),
+    ("oracle", ORACLE_CFG),
+    ("oracle", {"ensemble": "qssep", "h": {"type": "named", "name": "half"}, "grid": 12,
+                "n_max": 2}),
+    ("diagnose", {"ensemble": "custom", "params": {"cumulants": [0.5, 0.25, 0.0, -0.0625]},
+                  "h": {"type": "named", "name": "smooth_ramp"}, "grid": 24, "order": 2}),
+    ("compare", {"files": ["a.csv", "b.csv"]}),
+    ("simulate", dict(_sim(), mc=dict(SHORT_MC, rates=[0.0, 1.0, 1.0, 0.0], realizations=2,
+                                      integrator="unitary", reference="a.csv"))),
+    ("simulate", {"ensemble": "wigner", "params": {"s": 1.0}, "seed": 5,
+                  "mc": {"n_dim": 8, "samples": 2, "interval": [0.0, 1.0], "bins": 4}}),
+    ("simulate", {"ensemble": "haar", "params": {"atoms": [[0.0, 0.5], [1.0, 0.5]]},
+                  "mc": {"n_dim": 8, "samples": 2, "bins": 4}}),
+]
+# never a huge size: a 10^9-cell grid is a valid request that would exhaust memory
+FUZZ_NUMBERS = [0, -1, 1, 2, 0.5, 1e-3, math.nan, math.inf, -math.inf]
+FUZZ_VALUES = FUZZ_NUMBERS + [None, True, False, "x", "", [], {}, [0.4], [0.4, 0.7], [1, 2],
+                              [None, None], {"type": "named", "name": "full"}]
+
+
+def _paths(node, prefix=()):
+    for key, val in (node.items() if isinstance(node, dict) else enumerate(node)):
+        yield prefix + (key,)
+        if isinstance(val, (dict, list)):
+            yield from _paths(val, prefix + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    """A base config with one or two of its keys or entries dropped, replaced or re-nested."""
+    command, cfg = draw(st.sampled_from(FUZZ_BASES))
+    cfg = json.loads(json.dumps(cfg))
+    for _ in range(draw(st.integers(1, 2))):
+        paths = list(_paths(cfg))
+        if not paths:
+            break
+        *parent, key = draw(st.sampled_from(paths))
+        node = cfg
+        for step in parent:
+            node = node[step]
+        action = draw(st.sampled_from(["drop", "value", "number", "number", "wrap", "nest",
+                                       "unknown"]))
+        if action == "drop":
+            del node[key]
+        elif action in ("value", "number"):
+            node[key] = draw(st.sampled_from(FUZZ_VALUES if action == "value" else FUZZ_NUMBERS))
+        elif action == "wrap":
+            node[key] = [node[key]]
+        elif action == "nest":
+            node[key] = {"value": node[key]}
+        elif isinstance(node, dict):
+            node["bogus"] = 1
+    return command, cfg
+
+
+def test_config_fuzz_never_crashes_or_writes_on_error(tmp_path, monkeypatch):
+    def one_snapshot(cfg):  # steps nothing
+        snap = np.diag((np.arange(cfg.n_sites) + 1.0) / cfg.n_sites).astype(complex)
+        return rmt_mc.QssepRun(config=cfg, times=np.zeros(1), snapshots=[snap],
+                               trace_series=np.zeros(1), stationarity_index=0,
+                               hermiticity_drift=0.0)
+
+    monkeypatch.setattr(rmt_mc, "qssep_run", one_snapshot)
+    monkeypatch.chdir(tmp_path)
+    for name, rho in (("a.csv", 1.0), ("b.csv", 1.02)):
+        (tmp_path / name).write_text("lambda,rho_block\n" + "".join(
+            f"{x / 10},{rho}\n" for x in range(11)))
+    codes = []
+
+    @settings(max_examples=600, derandomize=True, database=None, deadline=None)
+    @given(mutated_configs())
+    def run(case):
+        command, cfg = case
+        work = tempfile.mkdtemp(dir=tmp_path)
+        path = os.path.join(work, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        out = os.path.join(work, "out")
+        code = cli.main([command, "--config", path, "--out", out])  # raises on a crash
+        assert code in (0, 2, 3, 4, 5), (command, cfg)
+        if code in (2, 4):
+            assert not os.listdir(out), (command, cfg)
+        codes.append((command, code))
+
+    run()
+    assert {command for command, _ in codes} == set(cli.COMMANDS)
+    assert {code for _, code in codes} >= {0, 2, 4}

@@ -65,6 +65,7 @@ REQUIRED = object()
 AT_LEAST_1 = (lambda n: n >= 1, DomainError, "must be at least 1")
 COUNT = (lambda n: n >= 1, ConfigError, "must be at least 1")
 POSITIVE = (lambda v: 0 < v < np.inf, DomainError, "must be positive and finite")
+FINITE = (lambda v: np.isfinite(v).all(), DomainError, "must be finite")  # a number or a list
 VALUES = ([float], REQUIRED, (len, ConfigError, "must not be empty"))
 H = {"type": (str, REQUIRED, {"intervals": {"intervals": ([(float, float)], REQUIRED)},
                               "table": {"values": VALUES},
@@ -79,7 +80,7 @@ WIGNER = {"s": (float, 1.0, POSITIVE)}
 def _haar(params):
     """The haar/custom params table: cumulants, when given, are read alone."""
     if "cumulants" in params:
-        return {"cumulants": VALUES, "atoms": (object, None), "order": (object, None)}
+        return {"cumulants": (*VALUES, FINITE), "atoms": (object, None), "order": (object, None)}
     return {"atoms": (ATOMS, REQUIRED), "order": (int, 12, AT_LEAST_1)}
 
 
@@ -88,9 +89,9 @@ KERNEL = {"command": (str, None), "ensemble": (str, REQUIRED, {
     "inhomogeneous": {"params": ({"s_squared": (S_SQUARED, REQUIRED)}, {})},
     "custom": {"params": (_haar, {})}, "qssep": {"params": ({}, {})}}), "h": (H, REQUIRED)}
 SPECTRUM = {"grid": (int, 400, AT_LEAST_1), **KERNEL,
-            "lambda_grid": ({"min": (float, REQUIRED), "max": (float, REQUIRED),
+            "lambda_grid": ({"min": (float, REQUIRED, FINITE), "max": (float, REQUIRED, FINITE),
                              "count": (int, REQUIRED, AT_LEAST_1)}, REQUIRED),
-            "eps": (float, 1e-3), "eps_ladder": ([object], None),
+            "eps": (float, 1e-3, POSITIVE), "eps_ladder": ([object], None),
             "emit_closed_form": (object, False), "interval": (object, None)}  # read on use
 ORACLE = {"n_max": (int, 4, (lambda n: 1 <= n <= 6, UnsupportedOrderError, "must lie in 1..6")),
           "grid": (int, 64, AT_LEAST_1), **KERNEL}
@@ -104,7 +105,7 @@ MC = {"interval": ((float, float), [0.0, 1.0]), "bins": (int, 60, AT_LEAST_1),
 MC_QSSEP = {
     "n_sites": (int, REQUIRED), "realizations": (int, 1, COUNT),
     "dt": (float, 0.1, POSITIVE), "t_end": (float, 5000.0, POSITIVE),
-    "t_stat": (float, None, (np.isfinite, DomainError, "must be finite")),
+    "t_stat": (float, None, FINITE),
     # a list of numbers ("" and {} read as empty); QssepConfig checks four, nonnegative
     "rates": (object, [0.0, 1.0, 1.0, 0.0], (lambda r: isinstance(r, (list, str, dict)) and all(
         isinstance(x, (int, float)) for x in r), ConfigError, "must be a list of numbers"),

@@ -418,8 +418,8 @@ def qssep_support(spec):
     if c == 0.0:
         z_plus = d / (d + (1.0 - d) * math.exp(-1.0 / (1.0 - d)))
         return 0.0, z_plus
-    if d == 1.0:
-        z_minus = c / (c + (1.0 - c) * math.exp(-1.0 / c))
+    if d == 1.0:  # the mirror image of c = 0: z_minus(c, 1) = 1 - z_plus(0, 1 - c)
+        z_minus = c * math.exp(-1.0 / c) / (c * math.exp(-1.0 / c) + 1.0 - c)
         return z_minus, 1.0
     delta_big = ell * (1.0 - ell) * (ell * (1.0 - ell) + 4.0 * c * (1.0 - d))
     if delta_big < 0:
@@ -492,8 +492,7 @@ def qssep_subblock_density(spec, lam_grid):
 
     dsigma = theta / (theta^2 + log(r)^2) / (pi lam (1 - lam)) inside the
     closed-form support, tracked by Newton continuation from the support
-    midpoint outward; one edge cell is left at zero where the critical
-    roots merge.  Isolated tracking failures are gaps: NaN, flagged in gaps.
+    midpoint outward.  Isolated tracking failures are NaN gaps, flagged in gaps.
     """
     lam_grid = np.asarray(lam_grid, dtype=float)
     if np.any((lam_grid <= 0.0) | (lam_grid >= 1.0)):
@@ -501,9 +500,7 @@ def qssep_subblock_density(spec, lam_grid):
     z_minus, z_plus = qssep_support(spec)
     rho = np.zeros(lam_grid.size)
     gaps = np.zeros(lam_grid.size, dtype=bool)
-    edge = np.median(np.diff(np.sort(lam_grid))) if lam_grid.size > 1 else 0.0
-    inside = (lam_grid > z_minus + edge) & (lam_grid < z_plus - edge)
-    idx = np.nonzero(inside)[0]
+    idx = np.nonzero((lam_grid > z_minus) & (lam_grid < z_plus))[0]
     if idx.size:
         mid = 0.5 * (z_minus + z_plus)
         start = idx[np.argmin(np.abs(lam_grid[idx] - mid))]

@@ -37,7 +37,7 @@ from .grids import as_grid_values, checked_weight
 from .kernels import grid_tensor
 
 GENERIC_MAX_ORDER = 3
-RELAX_BUDGET = 400  # relaxation iterations per column before Newton-Krylov
+RELAX_BUDGET = 400  # relaxation iterations before an unconverged column goes to Newton-Krylov
 MAX_NEWTON = 60  # Newton-Krylov steps per column
 ANNEAL_START, ANNEAL_STEPS = 0.5, 6  # density scans: imaginary parts geomspace(0.5, eps, 6)
 PREDICTOR_POINTS = 3  # density scans: converged points behind each quadratic prediction
@@ -352,15 +352,15 @@ def _solve_columns(kern, h_vals, zs, warm, tol):
     closed form's root there; warm columns from their state's b and root.
     The roots of all columns travel as one (k,) array.  Each column runs
     damped relaxation (damping 0.5) with Anderson type-II mixing (depth 4)
-    and its own history, damping and divergence checks; the k small
-    least-squares problems are solved in one batched call, by pseudo-inverse
-    of their Gram matrices (eigenvalues below 1e-13 of the largest dropped),
-    which also covers the rank-deficient histories of constant kernels.  A
-    column is frozen at its first iterate with residual <= tol.  A column
-    that leaves the branch, diverges or spends the relaxation budget is
-    finished by Newton-Krylov from its best iterate.  No row's arithmetic
-    depends on another, except that tensor quadrature rounds by stack size
-    (BLAS).
+    over its own history, and rides out transient residual growth; the k
+    small least-squares problems are solved in one batched call, by
+    pseudo-inverse of their Gram matrices (eigenvalues below 1e-13 of the
+    largest dropped), which also covers the rank-deficient histories of
+    constant kernels.  A column is frozen at its first iterate with residual
+    <= tol.  A column whose iterate leaves the branch or is not finite, or
+    that spends the relaxation budget, is finished by Newton-Krylov from its
+    best iterate.  No row's arithmetic depends on another, except that
+    tensor quadrature rounds by stack size (BLAS).
 
     Returns (states, handed): per column a FixedPointState or the error that
     ended it (BranchError or NoSolutionError when no iterate could be
@@ -378,12 +378,11 @@ def _solve_columns(kern, h_vals, zs, warm, tol):
         root[cold] = cold_root
     b = np.array([cold_b if c else w.b for c, w in zip(cold, warm)], dtype=complex)
     states, handed = [None] * k, []
-    # per active row: column, z, damping, best residual and iterate, history
-    # length and history: slots 0..depth-2 hold the latest differences of the
-    # residuals f (of the map values g) in circular order, slot -1 the newest.
+    # per active row: column, z, best residual and iterate, and history: slots
+    # 0..depth-2 hold the latest differences of the residuals f (of the map
+    # values g) in circular order, slot -1 the newest.
     col, zc = np.arange(k), z
-    eta, res_best, b_best = np.full(k, 0.5), np.full(k, np.inf), b.copy()
-    n_hist = np.zeros(k, dtype=int)
+    res_best, b_best = np.full(k, np.inf), b.copy()
     hist_f = np.zeros((k, depth, G), dtype=complex)
     hist_g = np.zeros((k, depth, G), dtype=complex)
     slots = np.arange(depth - 1)
@@ -409,34 +408,29 @@ def _solve_columns(kern, h_vals, zs, warm, tol):
         for r in np.flatnonzero(unmapped):
             states[col[r]] = (BranchError(f"z - h*b left the physical branch (z={zc[r]})")
                               if off[r] else NoSolutionError(f"R0 has no solution at z={zc[r]}"))
-        bad |= ~improved & (res > 100.0 * res_best)
         handed += [(col[r], b_best[r], root[r], it) for r in np.flatnonzero(bad & ~unmapped)]
         keep = ~(bad | done)
         if not keep.all():
-            col, zc, b, g, f, res = col[keep], zc[keep], b[keep], g[keep], f[keep], res[keep]
-            eta, res_best, b_best, n_hist = eta[keep], res_best[keep], b_best[keep], n_hist[keep]
+            col, zc, b, g, f = col[keep], zc[keep], b[keep], g[keep], f[keep]
+            res_best, b_best = res_best[keep], b_best[keep]
             hist_f = hist_f[keep]  # one at a time: the old copy goes before the next
             hist_g = hist_g[keep]
             root = root[keep]
             if col.size == 0:
                 break
-        reset = res > 10.0 * res_best
-        n_hist[reset] = 0
-        eta[reset] = np.maximum(eta[reset] * 0.5, 1e-3)
         slot = it % (depth - 1)
         hist_f[:, slot] = f - hist_f[:, -1]
         hist_g[:, slot] = g - hist_g[:, -1]
         hist_f[:, -1], hist_g[:, -1] = f, g
-        n_hist = np.minimum(n_hist + 1, depth)
         accept = np.zeros(col.size, dtype=bool)
         if it > 3:
             # Anderson type-II: minimize |f - dF gamma| over each row's history,
             # through the pseudo-inverse of the Gram matrix of the valid
             # differences; a constant kernel makes every residual parallel.
-            valid = (slot - slots) % (depth - 1) < (n_hist - 1)[:, None]
+            valid = (slot - slots) % (depth - 1) < it - 1  # at it = 4 slot 1 holds f_1 itself
             gram = np.conj(hist_f) @ hist_f.transpose(0, 2, 1)
             rhs = gram[:, :-1, -1] * valid
-            gram = gram[:, :-1, :-1] * (valid[:, :, None] & valid[:, None, :])
+            gram = gram[:, :-1, :-1] * (valid[:, None] & valid)
             top = np.max(np.where(valid, gram[:, slots, slots].real, 0.0), axis=1)
             gram[:, slots, slots] += np.where(valid, 0.0, np.where(top > 0, top, 1.0)[:, None])
             ev, vec = np.linalg.eigh(gram)
@@ -444,13 +438,12 @@ def _solve_columns(kern, h_vals, zs, warm, tol):
             coef = inv * (np.conj(vec.transpose(0, 2, 1)) @ rhs[..., None])[..., 0]
             gamma = (vec @ coef[..., None])[..., 0]
             b_mix = g - (gamma[:, None, :] @ hist_g[:, :-1])[:, 0]
-            accept = (n_hist >= 2) & np.all(np.isfinite(gamma), axis=1) \
-                & (np.max(np.abs(gamma), axis=1) < 50.0) \
+            accept = np.all(np.isfinite(gamma), axis=1) & (np.max(np.abs(gamma), axis=1) < 50.0) \
                 & ~_wrong_side(zc.imag[:, None] - h_vals * b_mix.imag, zc)
         if accept.all():
             b = b_mix
         else:
-            b = (1.0 - eta[:, None]) * b + eta[:, None] * g
+            b = 0.5 * (b + g)
             if accept.any():
                 b[accept] = b_mix[accept]
     handed += [(c, b_best[r], root[r], RELAX_BUDGET) for r, c in enumerate(col)]

@@ -178,7 +178,7 @@ def test_c06_qssep_full_interval():
     l1 = np.trapezoid(np.abs(dens.rho - exact), lam)
     peak = dens.rho[np.argmin(np.abs(lam - 0.5))]
     peak_rel = abs(peak - 4 / np.pi ** 2) / (4 / np.pi ** 2)
-    assert int(dens.gaps.sum()) == 0
+    assert int(dens.gaps.sum()) == 0 and dens.fallbacks == 0
     assert l1 < 1e-2
     assert peak_rel < 1e-2
     print(f"\nC06 QSSEP full interval: PASS (L1 {l1:.2e}, peak rel {peak_rel:.2e})")

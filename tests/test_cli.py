@@ -140,13 +140,28 @@ def test_bad_eps_ladder_exits_4_without_files(tmp_path, ladder):
     assert not any(out.iterdir())
 
 
+NAN_CUMULANTS = {"ensemble": "haar", "params": {"cumulants": [math.nan, 0.25, 0.0, -0.0625]}}
+
+
 @pytest.mark.parametrize("command,change", [
     ("spectrum", {"ensemble": "haar", "params": {"atoms": [[0.0, 0.6], [1.0, 0.6]]}}),
     ("spectrum", {"h": {"type": "intervals", "intervals": [[0.5, 1.5]]}}),
     ("spectrum", {"eps_ladder": ["x"]}),
     # simulate reads params.s through the same table as spectrum, oracle and diagnose
     ("simulate", {"params": {"s": -1.0}, "mc": {"n_dim": 8, "samples": 1}}),
-], ids=["atom-weights", "h-interval", "ladder-entry", "simulate-s"])
+    # non-finite input once scanned into NaN: exit 5, or 0 with bare NaN in diagnose.json
+    ("spectrum", {"lambda_grid": {"min": math.nan, "max": 1.0, "count": 5}}),
+    ("spectrum", {"lambda_grid": {"min": -1.0, "max": math.inf, "count": 5}}),
+    ("spectrum", NAN_CUMULANTS),
+    ("oracle", NAN_CUMULANTS),
+    ("diagnose", NAN_CUMULANTS),
+    ("diagnose", {"ensemble": "custom", "params": {"cumulants": [0.5, -math.inf]}}),
+    ("spectrum", {"eps": math.nan, "eps_ladder": [2e-3, 1e-3]}),
+    ("spectrum", {"eps": -1e-3, "eps_ladder": [2e-3, 1e-3]}),
+], ids=["atom-weights", "h-interval", "ladder-entry", "simulate-s", "lambda-min-nan",
+        "lambda-max-inf", "spectrum-cumulant-nan", "oracle-cumulant-nan",
+        "diagnose-cumulant-nan", "diagnose-cumulant-inf", "eps-nan-with-ladder",
+        "eps-negative-with-ladder"])
 def test_out_of_domain_input_exits_4_without_files(tmp_path, command, change):
     cfg = dict({
         "ensemble": "wigner", "params": {"s": 1.0},
@@ -155,6 +170,8 @@ def test_out_of_domain_input_exits_4_without_files(tmp_path, command, change):
     }, **change)
     if command == "simulate":
         cfg = {k: cfg[k] for k in ("ensemble", "params", "mc")}
+    elif command != "spectrum":
+        del cfg["lambda_grid"]
     out = tmp_path / "d_out"
     assert cli.main([command, "--config", write_cfg(tmp_path, "d.json", cfg),
                      "--out", str(out)]) == 4
@@ -603,6 +620,7 @@ def mutated_configs(draw):
     return command, cfg
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # NaN arithmetic means an unchecked input
 def test_config_fuzz_never_crashes_or_writes_on_error(tmp_path, monkeypatch):
     def one_snapshot(cfg):  # steps nothing
         snap = np.diag((np.arange(cfg.n_sites) + 1.0) / cfg.n_sites).astype(complex)

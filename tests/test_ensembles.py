@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from subspectra import (
@@ -244,10 +244,11 @@ def test_support_unit_interval_and_one_sided():
         zm, zp = qssep_support(QssepBlockSpec(0.0, d))
         assert zm == 0.0
         assert zp == pytest.approx(d / (d + (1 - d) * math.exp(-1 / (1 - d))), abs=1e-15)
-    for c in (0.2, 0.6):
+    for c in (0.2, 0.6):  # the mirror images of c = 0
         zm, zp = qssep_support(QssepBlockSpec(c, 1.0))
         assert zp == 1.0
-        assert zm == pytest.approx(c / (c + (1 - c) * math.exp(-1 / c)), abs=1e-15)
+        assert zm == pytest.approx(1 - qssep_support(QssepBlockSpec(0.0, 1 - c))[1], abs=1e-15)
+        assert zm == pytest.approx(qssep_support(QssepBlockSpec(c, 0.999))[0], abs=1e-5)
 
 
 def test_support_symmetry_sweep():
@@ -347,6 +348,42 @@ def test_subblock_density_symmetry():
         d1 = r1.theta / (r1.theta ** 2 + math.log(r1.r) ** 2) / (np.pi * lam * (1 - lam))
         d2 = r2.theta / (r2.theta ** 2 + math.log(r2.r) ** 2) / (np.pi * lam * (1 - lam))
         assert abs(d1 - d2) < 1e-10
+
+
+@st.composite
+def _block_specs(draw):
+    """A subinterval [c, d] of the chain, its ends at 0 and 1 included.
+
+    c stays 0 or at least 0.01: below about (d - c) / 709, qssep_support
+    overflows in exp(-delta), an open defect of its own.
+    """
+    c = draw(st.one_of(st.just(0.0), st.floats(0.01, 0.9)))
+    d = draw(st.one_of(st.just(1.0), st.floats(c + 0.05, 0.99)))
+    return QssepBlockSpec(c, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=_block_specs(), dist=st.floats(-12.0, -2.0).map(lambda p: 10.0 ** p),
+       upper=st.booleans())
+def test_solve_q_converges_next_to_either_edge(spec, dist, upper):
+    # the closed form is tracked up to its square-root edges, never zeroed there
+    zm, zp = qssep_support(spec)
+    assume(dist < 0.5 * (zp - zm))
+    lam = zp - dist if upper else zm + dist
+    root = solve_Q(spec, lam)
+    assert root.residual <= 1e-12 and 0 < root.theta <= np.pi
+    assert qssep_subblock_density(spec, [lam]).rho[0] > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=_block_specs(), t=st.floats(0.01, 0.99))
+def test_subblock_density_mirror_identity(spec, t):
+    # rho_{c,d}(lam) = rho_{1-d,1-c}(1-lam): the chain read from its other end
+    zm, zp = qssep_support(spec)
+    lam = zm + t * (zp - zm)
+    rho = qssep_subblock_density(spec, [lam]).rho[0]
+    mirrored = qssep_subblock_density(QssepBlockSpec(1 - spec.d, 1 - spec.c), [1 - lam]).rho[0]
+    assert abs(rho - mirrored) <= 1e-9 * rho
 
 
 def test_subblock_density_mass_and_gaps():

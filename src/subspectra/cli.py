@@ -92,7 +92,18 @@ SPECTRUM = {"grid": (int, 400, AT_LEAST_1), **KERNEL,
             "lambda_grid": ({"min": (float, REQUIRED, FINITE), "max": (float, REQUIRED, FINITE),
                              "count": (int, REQUIRED, AT_LEAST_1)}, REQUIRED),
             "eps": (float, 1e-3, POSITIVE), "eps_ladder": ([object], None),
-            "emit_closed_form": (object, False), "interval": (object, None)}  # read on use
+            "emit_closed_form": (object, False), "interval": (object, None)}
+
+
+def _spectrum(cfg):
+    """The spectrum table: interval is read, as two numbers, only where a qssep run
+    emits the closed form, and null stands for not given."""
+    if cfg.get("emit_closed_form") and cfg.get("ensemble") == "qssep" \
+            and cfg.get("interval") is not None:
+        return {**SPECTRUM, "interval": ((float, float), None)}
+    return SPECTRUM
+
+
 ORACLE = {"n_max": (int, 4, (lambda n: 1 <= n <= 6, UnsupportedOrderError, "must lie in 1..6")),
           "grid": (int, 64, AT_LEAST_1), **KERNEL}
 DIAGNOSE = {"grid": (int, 256, AT_LEAST_1), **KERNEL, "order": (int, 2)}
@@ -106,12 +117,8 @@ MC_QSSEP = {
     "n_sites": (int, REQUIRED), "realizations": (int, 1, COUNT),
     "dt": (float, 0.1, POSITIVE), "t_end": (float, 5000.0, POSITIVE),
     "t_stat": (float, None, FINITE),
-    # a list of numbers ("" and {} read as empty); QssepConfig checks four, nonnegative
-    "rates": (object, [0.0, 1.0, 1.0, 0.0], (lambda r: isinstance(r, (list, str, dict)) and all(
-        isinstance(x, (int, float)) for x in r), ConfigError, "must be a list of numbers"),
-        (lambda r: np.isfinite(list(r)).all(), DomainError, "must be finite")),
-    # a negative stride keeps every |stride|-th step, as step % stride == 0 says
-    "snapshot_stride": (int, 100, (bool, DomainError, "must not be 0")),
+    "rates": ((float,) * 4, [0.0, 1.0, 1.0, 0.0], FINITE),  # QssepConfig checks them nonnegative
+    "snapshot_stride": (int, 100, AT_LEAST_1),
     "integrator": (object, "unitary")}
 MC_SAMPLED = {"n_dim": (int, REQUIRED), "samples": (int, 10, COUNT)}
 MC_FOR_QSSEP = ({**dict.fromkeys(MC_SAMPLED, (object, None)), **MC, **MC_QSSEP}, REQUIRED)
@@ -289,7 +296,7 @@ def _setup(cfg, table):
 
 
 def cmd_spectrum(cfg, out_dir):
-    c, kern, h = _setup(cfg, SPECTRUM)
+    c, kern, h = _setup(cfg, _spectrum)
     resolution, lg, eps = c["grid"], c["lambda_grid"], c["eps"]
     lam = np.linspace(lg["min"], lg["max"], lg["count"])
     dens = solver.spectral_density(kern, h, lam, eps=eps, eps_ladder=c["eps_ladder"])
@@ -301,10 +308,6 @@ def cmd_spectrum(cfg, out_dir):
             if not nz.size:
                 raise DomainError("h vanishes everywhere: the closed form needs an 'interval'")
             iv = (nz[0] / h.resolution, (nz[-1] + 1) / h.resolution)
-        try:
-            iv = float(iv[0]), float(iv[1])
-        except (TypeError, ValueError, LookupError):
-            raise ConfigError(f"config.interval must be two numbers, got {iv!r}") from None
         inner = lam[(lam > 0) & (lam < 1)]
         closed = ensembles.qssep_subblock_density(ensembles.QssepBlockSpec(*iv), inner)
 
@@ -318,8 +321,7 @@ def cmd_spectrum(cfg, out_dir):
         "atom_weight": dens.atom_weight,
         "block_fraction": dens.block_fraction,
         "gap_count": int(dens.gaps.sum()) if dens.gaps is not None else 0,
-        "solver": {"iterations": dens.iterations.tolist(), "fallbacks": dens.fallbacks,
-                   "predicted": dens.predicted, "predictor_rejected": dens.predictor_rejected},
+        "solver": dens.solver,
         "settings_hash": _settings_hash(cfg),
         "content_hash": digest,
     }

@@ -430,7 +430,11 @@ def qssep_support(spec):
     for sign in (-1.0, +1.0):
         delta = ((ell * (1.0 - ell) + sign * sq) / (2.0 * (1.0 - d)) - ell) / c
         num = base + sign * sq
-        out.append(num / (num + 2.0 * (1.0 - d) ** 2 * math.exp(-delta)))
+        try:
+            weight = 2.0 * (1.0 - d) ** 2 * math.exp(-delta)
+        except OverflowError:  # c below about ell / 709: z_minus underflows to its limit 0
+            weight = math.inf
+        out.append(num / (num + weight))
     return out[0], out[1]
 
 

@@ -251,15 +251,12 @@ class SpectralDensity:
     ``rho`` is the density of the slice spectrum alone (block-normalized);
     the total-spectrum continuous part is ``block_fraction * rho`` and the
     atom at zero carries weight ``atom_weight = 1 - block_fraction``.
-    Solver scans also record ``iterations``, the fixed-point iterations per
-    grid point, ``fallbacks``, the continuation columns finished by
-    Newton-Krylov, ``predicted``, the points solved from a predictor
-    extrapolation, and ``predictor_rejected``, the extrapolations not used.
+    A solver scan attaches its counts as ``solver`` (see
+    solver.spectral_density); it is None for every other density.
     """
 
     def __init__(self, lam, rho, atom_weight=0.0, block_fraction=1.0,
-                 support=None, samples=None, gaps=None, iterations=None, fallbacks=None,
-                 predicted=None, predictor_rejected=None):
+                 support=None, samples=None, gaps=None):
         self.lam = np.asarray(lam, dtype=float)
         self.rho = np.asarray(rho, dtype=float)
         if self.lam.shape != self.rho.shape:
@@ -269,10 +266,7 @@ class SpectralDensity:
         self.support = support
         self.samples = None if samples is None else np.sort(np.asarray(samples))
         self.gaps = None if gaps is None else np.asarray(gaps, dtype=bool)
-        self.iterations = iterations
-        self.fallbacks = fallbacks
-        self.predicted = predicted
-        self.predictor_rejected = predictor_rejected
+        self.solver = None
 
     def rho_total(self):
         """Continuous part of the total-spectrum density."""

@@ -115,6 +115,8 @@ class QssepConfig:
             raise DomainError("t_stat must lie before t_end")
         if any(r < 0 for r in self.rates) or len(self.rates) != 4:
             raise DomainError("rates must be four nonnegative numbers")
+        if self.snapshot_stride < 1:
+            raise DomainError("snapshot_stride must be at least 1")
         if self.integrator != "unitary":
             raise DomainError(f"unknown integrator {self.integrator!r} "
                               "(the only stepper is 'unitary')")

@@ -41,6 +41,7 @@ RELAX_BUDGET = 400  # relaxation iterations before an unconverged column goes to
 MAX_NEWTON = 60  # Newton-Krylov steps per column
 ANNEAL_START, ANNEAL_STEPS = 0.5, 6  # density scans: imaginary parts geomspace(0.5, eps, 6)
 PREDICTOR_POINTS = 3  # density scans: converged points behind each quadratic prediction
+CHUNK = 64  # density scans: lambda points per continuation column
 MOMENT_NODES = 24  # moment_series: circle nodes ...
 CIRCLE_FACTOR = 3.0  # ... on the circle of radius CIRCLE_FACTOR * spectral radius
 
@@ -470,134 +471,127 @@ def _extrapolate(history, lam):
             complex(sum(w * root for w, (_, _, root) in zip(weights, history))))
 
 
-def _scan_columns(kern, h_vals, z, tol, chunk):
-    """Every (chunk, eps) continuation column of a density scan, in lock-step.
+def _column(h_vals, z, g, span, solver):
+    """One continuation column of a density scan, as a generator of solve requests.
 
-    z is the (rungs, L) array of lam + i eps.  Column c walks its chunk of
-    one row of z; at the chunk start, and after a gap, it anneals in along
-    geomspace(ANNEAL_START, eps, ANNEAL_STEPS) from a cold start.  Every
-    other point is a predictor-corrector step: the column keeps the b and
-    root of its last PREDICTOR_POINTS converged points at its eps (anneal
-    steps do not count; a gap or the chunk start empties it), and once it
-    holds two or more, the point starts from their Lagrange extrapolation in
-    the true lambda values (linear from two, quadratic from three).  A
-    prediction whose z - h b fails the branch guard (_off_branch) starts
-    from the previous point instead, and so does, once more, a predicted
-    point whose solve fails, so a gap is recorded only where the plain warm
-    start fails too.  Chunks still restart, so the result does not depend on
-    how the columns are batched.  Each round solves the next z of every live
-    column in one _solve_columns call (plus one for its retries).  Returns
-    the block resolvent at z (NaN at a gap), the iterations per lambda
-    summed over rungs, the number of columns finished by Newton-Krylov, and
-    the counts of points solved from a prediction and of predictions
-    rejected (by the guard, or retried).
+    The column walks span, its chunk of the row z of lam + i eps at one
+    eps, and writes the block resolvent into g (NaN stays at a gap).  Each
+    request is yielded as (z, start), start the warm state or None (cold),
+    and is sent back the solved FixedPointState, or None for a failure;
+    when its span is done the column yields None.  At the chunk start, and
+    after a gap, a point anneals in along geomspace(ANNEAL_START, eps,
+    ANNEAL_STEPS) from a cold start.  Every other point is a
+    predictor-corrector step: history holds the b and root of the column's
+    last PREDICTOR_POINTS converged points at eps (anneal steps do not
+    count; a gap empties it), and once it holds two or more, the point
+    starts from their Lagrange extrapolation in the true lambda values
+    (linear from two, quadratic from three).  A prediction whose z - h b
+    fails the branch guard (_off_branch) starts from the previous point
+    instead, and so does, in the next request, a predicted point whose
+    solve fails, so a gap is recorded only where the plain warm start fails
+    too.  The column adds the iterations of each solved request to
+    solver["iterations"] at its lambda, and counts the points solved from a
+    prediction in solver["predicted"], the predictions not used in
+    solver["predictor_rejected"].
     """
-    R, L = z.shape
     mask = h_vals > 0
     ell = float(np.mean(mask))
-    g = np.full((R, L), np.nan, dtype=complex)
-    iterations = np.zeros(L, dtype=int)
-    fallbacks = predicted = rejected = 0
-    cols = [(r, start, min(start + chunk, L)) for r in range(R) for start in range(0, L, chunk)]
-    pos = [start for _, start, _ in cols]
-    todo = [None] * len(cols)  # imaginary parts still to solve at pos, in order
-    states = [None] * len(cols)
-    history = [[] for _ in cols]  # (lam, b, root) of the latest converged points at eps
-    while True:
-        live = [c for c, (_, _, stop) in enumerate(cols) if pos[c] < stop]
-        if not live:
-            break
-        for c in live:
-            if todo[c] is None:
-                e = z[cols[c][0], pos[c]].imag
-                cold = states[c] is None
-                todo[c] = list(np.geomspace(ANNEAL_START, e, ANNEAL_STEPS)) if cold else [e]
-        zs = [complex(z[cols[c][0], pos[c]].real, todo[c][0]) for c in live]
-        starts, guessed = [states[c] for c in live], []
-        for j, (c, zc) in enumerate(zip(live, zs)):
-            if len(history[c]) > 1:
-                b, root = _extrapolate(history[c], zc.real)
-                if _off_branch(zc - h_vals * b, zc):
-                    rejected += 1
+    state, history = None, []  # the last solved state; (lam, b, root) of the latest points at eps
+    for i in span:
+        lam, eps = z[i].real, z[i].imag
+        for e in np.geomspace(ANNEAL_START, eps, ANNEAL_STEPS) if state is None else [eps]:
+            zi, start = complex(lam, e), state
+            if len(history) > 1:
+                b, root = _extrapolate(history, lam)
+                if _off_branch(zi - h_vals * b, zi):
+                    solver["predictor_rejected"] += 1
                 else:
-                    starts[j] = replace(starts[j], b=b, root=root)
-                    guessed.append(j)
-        solved, handed = _solve_columns(kern, h_vals, zs, starts, tol)
-        retry = [j for j in guessed if not isinstance(solved[j], FixedPointState)]
-        if retry:
-            again, more = _solve_columns(kern, h_vals, [zs[j] for j in retry],
-                                         [states[live[j]] for j in retry], tol)
-            handed += more
-            for j, st in zip(retry, again):
-                solved[j] = st
-        fallbacks += handed
-        predicted += len(guessed) - len(retry)
-        rejected += len(retry)
-        for c, st in zip(live, solved):
-            i = pos[c]
-            if not isinstance(st, FixedPointState):
-                st = None  # a gap; the column re-anneals at its next lambda
-            states[c] = st
-            if st is None:
-                todo[c], history[c] = [], []
-            else:
-                iterations[i] += st.iterations
-                todo[c].pop(0)
-            if not todo[c]:
-                if st is not None:
-                    lam = z[cols[c][0], i].real
-                    g[cols[c][0], i] = np.mean(mask / (st.z - h_vals * st.b)) / ell
-                    history[c] = [p for p in history[c] if p[0] != lam][1 - PREDICTOR_POINTS:] \
-                        + [(lam, st.b, st.root)]
-                pos[c] += 1
-                todo[c] = None
-    return g, iterations, fallbacks, predicted, rejected
+                    start = replace(state, b=b, root=root)
+            solved = yield zi, start
+            if start is not state:
+                if solved is None:
+                    solver["predictor_rejected"] += 1
+                    solved = yield zi, state
+                else:
+                    solver["predicted"] += 1
+            state = solved
+            if state is None:
+                break
+            solver["iterations"][i] += state.iterations
+        if state is None:
+            history = []
+        else:
+            g[i] = np.mean(mask / (state.z - h_vals * state.b)) / ell
+            history = [p for p in history if p[0] != lam][1 - PREDICTOR_POINTS:] \
+                + [(lam, state.b, state.root)]
+    yield None  # the span is done
 
 
-def spectral_density(kern, h, lam_grid, eps=1e-3, eps_ladder=None,
-                     resolution=None, tol=1e-10, chunk=64):
+def _scan_columns(kern, h_vals, z, tol, solver):
+    """Every (chunk, eps) continuation column of a density scan, in lock-step.
+
+    z is the (rungs, L) array of lam + i eps, and each chunk of CHUNK lambda
+    of a row is one _column.  Each round solves the pending request of
+    every live column in one _solve_columns call and sends each column its
+    result; the columns finished by Newton-Krylov are added to
+    solver["fallbacks"].  Chunks restart, so the result does not depend on
+    how the columns are batched.  Returns the block resolvent at z (NaN at a
+    gap).
+    """
+    R, L = z.shape
+    g = np.full((R, L), np.nan, dtype=complex)
+    columns = [_column(h_vals, z[r], g[r], range(s, min(s + CHUNK, L)), solver)
+               for r in range(R) for s in range(0, L, CHUNK)]
+    pending = [(col, next(col)) for col in columns]
+    while pending:
+        zs, starts = zip(*(request for _, request in pending))
+        states, handed = _solve_columns(kern, h_vals, zs, starts, tol)
+        solver["fallbacks"] += handed
+        sent = [(col, col.send(st if isinstance(st, FixedPointState) else None))
+                for (col, _), st in zip(pending, states)]
+        pending = [(col, request) for col, request in sent if request is not None]
+    return g
+
+
+def spectral_density(kern, h, lam_grid, eps=1e-3, eps_ladder=None, resolution=None, tol=1e-10):
     """Spectral density of the weighted slice along a real grid.
 
     Scans z = lambda + i*eps by predictor-corrector continuation inside
-    fixed-size chunks of the grid.  Each (chunk, eps) pair is one
-    continuation column, and all columns advance in lock-step as one
-    batched fixed-point iteration.  A column starts each point from the
+    chunks of CHUNK grid points.  Each (chunk, eps) pair is one
+    continuation column (_column), and all columns advance in lock-step as
+    one batched fixed-point iteration.  A column starts each point from the
     quadratic Lagrange extrapolation in lambda of its last three converged
     points (fewer just after a chunk start or a gap, where it anneals in
     cold); a prediction that puts z - h b off the physical branch, or whose
     solve fails, falls back to the previous point's state, so the predictor
-    adds no gap.  Chunks still re-initialize, so results do not depend on
-    how the columns are batched (for tensor-quadrature kernels, up to
-    rounding in the batched products).  The block resolvent of the scan is
-    inverted by freeprob.density_from_resolvent, with Richardson
-    extrapolation to the real axis when an eps ladder is given.  Returns the
-    block-normalized density together with the zero-eigenvalue atom weight
-    1 - ell carried by the total spectrum, the fixed-point iterations per
-    lambda (summed over the ladder), the number of columns finished by
-    Newton-Krylov, and the counts of points solved from a prediction
-    (predicted) and of predictions not used (predictor_rejected).  A bad
-    eps or ladder raises DomainError; isolated convergence failures are
-    marked as gaps, not fatal.
+    adds no gap.  Chunks re-initialize, so results do not depend on how the
+    columns are batched (for tensor-quadrature kernels, up to rounding in
+    the batched products).  The block resolvent of the scan is inverted by
+    freeprob.density_from_resolvent, with Richardson extrapolation to the
+    real axis when an eps ladder is given.  Returns the block-normalized
+    density together with the zero-eigenvalue atom weight 1 - ell carried
+    by the total spectrum, and its solver record: the fixed-point
+    iterations per lambda (summed over the ladder), the number of columns
+    finished by Newton-Krylov (fallbacks), and the counts of points solved
+    from a prediction (predicted) and of predictions not used
+    (predictor_rejected).  A bad eps or ladder raises DomainError; isolated
+    convergence failures are marked as gaps, not fatal.
     """
     h_vals = checked_weight(h, resolution)
     lam_grid = np.asarray(lam_grid, dtype=float)
     ell = float(np.mean(h_vals > 0))
+    solver = {"iterations": np.zeros(lam_grid.size, dtype=int), "fallbacks": 0, "predicted": 0,
+              "predictor_rejected": 0}
     if ell == 0.0:
         checked_ladder(eps, eps_ladder)
-        return SpectralDensity(lam_grid, np.zeros(lam_grid.size), atom_weight=1.0,
-                               block_fraction=0.0, iterations=np.zeros(lam_grid.size, dtype=int),
-                               fallbacks=0, predicted=0, predictor_rejected=0)
-    scan = []
-
-    def block_resolvent(z):
-        g, *stats = _scan_columns(kern, h_vals, z, tol, chunk)
-        scan.extend(stats)
-        return g
-
-    dens = density_from_resolvent(block_resolvent, lam_grid, eps, eps_ladder)
-    dens.atom_weight, dens.block_fraction = 1.0 - ell, ell
-    dens.iterations, dens.fallbacks, dens.predicted, dens.predictor_rejected = scan
-    dens.support = dens.detect_support()
+        dens = SpectralDensity(lam_grid, np.zeros(lam_grid.size), atom_weight=1.0,
+                               block_fraction=0.0)
+    else:
+        dens = density_from_resolvent(lambda z: _scan_columns(kern, h_vals, z, tol, solver),
+                                      lam_grid, eps, eps_ladder)
+        dens.atom_weight, dens.block_fraction = 1.0 - ell, ell
+        dens.support = dens.detect_support()
+    dens.solver = dict(solver, iterations=solver["iterations"].tolist())
     return dens
 
 

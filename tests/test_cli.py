@@ -444,6 +444,8 @@ def _sim(**mc):
     ("spectrum", dict(QSSEP_SPECTRUM, lambda_grid={"min": 0.1, "max": 0.9, "count": 0}), 4),
     ("spectrum", dict(QSSEP_SPECTRUM, interval=[0.4]), 2),
     ("spectrum", dict(QSSEP_SPECTRUM, interval="ab"), 2),
+    ("spectrum", dict(QSSEP_SPECTRUM, interval=[False, 0.7]), 2),
+    ("spectrum", dict(QSSEP_SPECTRUM, interval=[0.4, 0.7, 0.9]), 2),
     ("spectrum", dict(QSSEP_SPECTRUM, h={"type": "table", "values": [0.0, 0.0]}), 4),
     ("spectrum", dict(HAAR_SPECTRUM, params={"atoms": [[0.0, 1.0]], "order": 0}), 4),
     ("spectrum", dict(HAAR_SPECTRUM, params={"atoms": [[0.0, 1.0]], "order": -2}), 4),
@@ -452,7 +454,10 @@ def _sim(**mc):
     ("simulate", _sim(reference=5), 2),
     ("simulate", _sim(rates="abcd"), 2),
     ("simulate", _sim(rates=[None, 1, 1, 0]), 2),
+    ("simulate", _sim(rates=[True, 1, 1, 0]), 2),
+    ("simulate", _sim(rates=[0, 1, 1, 0, 0]), 2),
     ("simulate", _sim(snapshot_stride=0), 4),
+    ("simulate", _sim(snapshot_stride=-5), 4),
     ("simulate", _sim(bins=0), 4),
     ("simulate", _sim(bins=-2), 4),
     ("simulate", _sim(t_end=math.nan), 4),
@@ -462,14 +467,16 @@ def _sim(**mc):
                   "mc": {"n_dim": 8, "samples": 1}}, 4),
     ("simulate", _sim(rates=[math.nan, 1, 1, 0]), 4),
     ("spectrum", dict(QSSEP_SPECTRUM, grid=-1), 4),
-], ids=["count-negative", "count-zero", "interval-short", "interval-string", "h-zero",
-        "order-zero", "order-negative", "files-null", "files-int", "reference-int",
-        "rates-string", "rates-null", "stride-zero", "bins-zero", "bins-negative",
-        "t_end-nan", "dt-inf", "seed-negative", "atom-location-inf", "rates-nan",
-        "grid-negative"])
+], ids=["count-negative", "count-zero", "interval-short", "interval-string", "interval-bool",
+        "interval-long", "h-zero", "order-zero", "order-negative", "files-null", "files-int",
+        "reference-int", "rates-string", "rates-null", "rates-bool", "rates-long",
+        "stride-zero", "stride-negative", "bins-zero", "bins-negative", "t_end-nan", "dt-inf",
+        "seed-negative", "atom-location-inf", "rates-nan", "grid-negative"])
 def test_configs_that_crashed_exit_2_or_4_before_any_work(tmp_path, monkeypatch,
                                                            command, cfg, code):
-    # each of these used to end in a traceback (exit 1), some after stepping a trajectory
+    # each of these used to end in a traceback (exit 1), some after stepping a trajectory,
+    # or to run on a misread value: a boolean as 0 or 1, a list cut to its first entries,
+    # a negative stride as its absolute value
     monkeypatch.setattr(rmt_mc, "qssep_run", lambda cfg: pytest.fail("stepped"))
     out = tmp_path / "x"
     assert cli.main([command, "--config", write_cfg(tmp_path, "x.json", cfg),
@@ -546,12 +553,24 @@ def test_closed_form_gap_written_as_nan(tmp_path, monkeypatch):
     assert all("nan" not in row for i, row in enumerate(rows) if i != lost)
 
 
+def test_closed_form_next_to_the_left_end(tmp_path):
+    # c = 1e-4 overflowed exp(-delta) in the support formula, a traceback after the scan
+    cfg = dict(QSSEP_SPECTRUM, h={"type": "intervals", "intervals": [[1e-4, 0.5]]},
+               interval=[1e-4, 0.5])
+    out = tmp_path / "left"
+    assert cli.main(["spectrum", "--config", write_cfg(tmp_path, "left.json", cfg),
+                     "--out", str(out)]) == 0
+    rows = [row.split(",") for row in (out / "closed_form.csv").read_text().splitlines()[2:]]
+    assert len(rows) == 5 and all(math.isfinite(float(x)) for row in rows for x in row)
+
+
 def test_readme_configs_read_against_their_tables():
     readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
     with open(readme) as fh:
         blocks = re.findall(r"```json\n(.*?)```", fh.read(), re.S)
     spectrum, simulate = (json.loads(block) for block in blocks)
-    assert cli.read(spectrum, cli.SPECTRUM, "config")["lambda_grid"]["count"] == 400
+    read = cli.read(spectrum, cli._spectrum, "config")
+    assert read["lambda_grid"]["count"] == 400 and read["interval"] == [0.4, 0.7]
     assert cli.read(simulate, cli.SIMULATE, "config")["mc"]["realizations"] == 1
 
 

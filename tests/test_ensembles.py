@@ -251,6 +251,20 @@ def test_support_unit_interval_and_one_sided():
         assert zm == pytest.approx(qssep_support(QssepBlockSpec(c, 0.999))[0], abs=1e-5)
 
 
+@settings(max_examples=200, deadline=None)
+@example(log_c=math.log10(4e-4), frac=0.5 / (1 - 1e-4 - 4e-4))  # exp(1250) overflowed
+@given(log_c=st.floats(-12.0, -2.0), frac=st.floats(1e-6, 1.0))
+def test_support_near_the_left_end_is_finite(log_c, frac):
+    # c below about ell / 709 overflowed exp(-delta); z_minus now sits at its limit 0.
+    # d stays 1e-4 below 1: within about 1e-7 of it the two-sided formula loses its
+    # digits for any c (z_minus < 0), a defect of its own
+    c = 10.0 ** log_c
+    d = c + frac * (1.0 - 1e-4 - c)
+    zm, zp = qssep_support(QssepBlockSpec(c, d))
+    assert math.isfinite(zm) and math.isfinite(zp) and 0.0 <= zm < zp <= 1.0
+    assert abs(zp - qssep_support(QssepBlockSpec(0.0, d))[1]) <= 4 * (c + 1e-15 / c)
+
+
 def test_support_symmetry_sweep():
     rng = np.random.default_rng(1)
     for _ in range(20):

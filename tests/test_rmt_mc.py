@@ -75,6 +75,13 @@ def test_subblock_selection():
         mc.subblock_eigs(d, (0.98, 0.99))
 
 
+@pytest.mark.parametrize("stride", [0, -5])
+def test_qssep_config_rejects_stride_below_one(stride):
+    # stride 0 divided by zero at the first step; -5 acted as 5
+    with pytest.raises(DomainError):
+        mc.QssepConfig(n_sites=10, snapshot_stride=stride)
+
+
 def test_qssep_trace_conserved_without_boundaries():
     cfg = mc.QssepConfig(n_sites=30, dt=0.05, t_end=1.5, t_stat=0.0,
                          rates=(0, 0, 0, 0), seed=1, snapshot_stride=1)

@@ -264,14 +264,15 @@ def test_scan_direction_independence():
     (wigner_kernel(1.0), GridFunction.constant(1.0, 100), np.linspace(-2.2, 2.2, 150)),
     (qssep_kernel(), GridFunction.indicator([(0.4, 0.7)], 100), np.linspace(0.05, 0.98, 150)),
 ], ids=["wigner", "qssep"])
-def test_batch_layout_does_not_change_results(kern, h, lam):
+def test_batch_layout_does_not_change_results(kern, h, lam, monkeypatch):
     # chunk-aligned pieces scan with 4, 4 and 2 columns where the whole grid has 10
-    whole = spectral_density(kern, h, lam, eps_ladder=[2e-3, 1e-3], chunk=32)
-    parts = [spectral_density(kern, h, lam[s:s + 64], eps_ladder=[2e-3, 1e-3], chunk=32)
+    monkeypatch.setattr(sv, "CHUNK", 32)
+    whole = spectral_density(kern, h, lam, eps_ladder=[2e-3, 1e-3])
+    parts = [spectral_density(kern, h, lam[s:s + 64], eps_ladder=[2e-3, 1e-3])
              for s in (0, 64, 128)]
     np.testing.assert_array_equal(whole.rho, np.concatenate([p.rho for p in parts]))
-    np.testing.assert_array_equal(whole.iterations,
-                                  np.concatenate([p.iterations for p in parts]))
+    np.testing.assert_array_equal(whole.solver["iterations"],
+                                  np.concatenate([p.solver["iterations"] for p in parts]))
 
 
 def _reference_scan(kern, h_vals, lam, ladder, chunk=64):
@@ -318,8 +319,8 @@ def test_lockstep_scan_matches_per_lambda_loop(kern, h, lam):
     # each column is frozen at its first converged iterate and mixes only its
     # own history: no column needs Newton-Krylov, and the scan does no
     # more work than the per-lambda loop
-    assert dens.fallbacks == 0
-    assert dens.iterations.sum() <= 1.02 * iterations.sum()
+    assert dens.solver["fallbacks"] == 0
+    assert sum(dens.solver["iterations"]) <= 1.02 * iterations.sum()
 
 
 C07_LADDER = [4e-3, 2e-3, 1e-3]
@@ -354,7 +355,7 @@ def test_predicted_scan_stays_at_tight_tolerance_density(c07_rounds):
     tight = _c07_scan(tol=1e-13)
     assert int(dens.gaps.sum()) == 0 and int(tight.gaps.sum()) == 0
     assert np.max(np.abs(dens.rho - tight.rho)) <= 2e-8
-    assert dens.predicted > 0
+    assert dens.solver["predicted"] > 0
 
 
 def test_predictor_cuts_lockstep_iterations(c07_rounds):
@@ -362,7 +363,8 @@ def test_predictor_cuts_lockstep_iterations(c07_rounds):
     # iterations over the scan's rounds; the quadratic predictor takes 495
     dens, rounds = c07_rounds
     assert sum(rounds) <= 560
-    assert dens.predicted + dens.predictor_rejected > 0.9 * dens.lam.size * len(C07_LADDER)
+    assert dens.solver["predicted"] + dens.solver["predictor_rejected"] \
+        > 0.9 * dens.lam.size * len(C07_LADDER)
 
 
 @pytest.mark.parametrize("kern,h,lam", [
@@ -374,9 +376,10 @@ def test_rejected_predictions_fall_back_to_plain_warm_start(kern, h, lam, monkey
     # (retry) both restart from the previous point: the scan is then the plain
     # continuation, bit for bit
     ladder = [2e-3, 1e-3]
+    monkeypatch.setattr(sv, "CHUNK", 16)
     with monkeypatch.context() as m:  # every prediction puts z - h b in the lower half-plane
         m.setattr(sv, "_extrapolate", lambda history, x: (history[-1][1] + 1e3j, history[-1][2]))
-        guarded = spectral_density(kern, h, lam, eps_ladder=ladder, chunk=16)
+        guarded = spectral_density(kern, h, lam, eps_ladder=ladder)
     engine, plain = sv._solve_columns, {}  # id -> every state returned, kept alive
 
     def failing(kern, h_vals, zs, warm, tol):  # every predicted start ends unmapped
@@ -388,14 +391,41 @@ def test_rejected_predictions_fall_back_to_plain_warm_start(kern, h, lam, monkey
 
     with monkeypatch.context() as m:
         m.setattr(sv, "_solve_columns", failing)
-        retried = spectral_density(kern, h, lam, eps_ladder=ladder, chunk=16)
+        retried = spectral_density(kern, h, lam, eps_ladder=ladder)
     for dens in (guarded, retried):
-        assert dens.predicted == 0 and dens.predictor_rejected == 2 * (lam.size - 2 * 3)
+        assert dens.solver["predicted"] == 0
+        assert dens.solver["predictor_rejected"] == 2 * (lam.size - 2 * 3)
     np.testing.assert_array_equal(guarded.rho, retried.rho)
-    np.testing.assert_array_equal(guarded.iterations, retried.iterations)
+    assert guarded.solver["iterations"] == retried.solver["iterations"]
     rho, gaps, _ = _reference_scan(kern, h.values, lam, ladder, chunk=16)
     assert not guarded.gaps.any() and not gaps.any()
     assert np.all(np.abs(guarded.rho - rho) <= 1e-8)
+
+
+def test_scan_gap_re_anneals_its_column(monkeypatch):
+    # a point whose solve fails, predicted start and plain retry alike, is the
+    # only gap: the column starts its next lambda cold, annealing in from
+    # Im z = ANNEAL_START, and the other points keep the unforced scan's values
+    kern, h = wigner_kernel(1.0), GridFunction.indicator([(0.25, 0.75)], 64)
+    lam, i = np.linspace(-1.2, 1.2, 20), 10  # one chunk and one eps: a single column
+    base = spectral_density(kern, h, lam, eps=1e-3)
+    engine, requests, fail = sv._solve_columns, [], complex(lam[i], 1e-3)
+
+    def forced(kern, h_vals, zs, warm, tol):
+        requests.extend(complex(z) for z in zs)
+        states, handed = engine(kern, h_vals, zs, warm, tol)
+        return [ConvergenceError("forced") if z == fail else s for z, s in zip(zs, states)], handed
+
+    monkeypatch.setattr(sv, "_solve_columns", forced)
+    dens = spectral_density(kern, h, lam, eps=1e-3)
+    np.testing.assert_array_equal(dens.gaps, np.arange(lam.size) == i)
+    assert np.isnan(dens.rho[i]) and requests.count(fail) == 2
+    after = len(requests) - requests[::-1].index(fail)
+    anneal = lam[i + 1] + 1j * np.geomspace(sv.ANNEAL_START, 1e-3, sv.ANNEAL_STEPS)
+    assert requests[after].imag == sv.ANNEAL_START
+    np.testing.assert_array_equal(requests[after:after + sv.ANNEAL_STEPS], anneal)
+    np.testing.assert_array_equal(dens.rho[:i], base.rho[:i])
+    assert np.all(np.abs(dens.rho[i + 1:] - base.rho[i + 1:]) <= 1e-8)
 
 
 @settings(max_examples=20, deadline=None)
@@ -411,7 +441,9 @@ def test_predicted_scan_gaps_are_reference_gaps(family, G, lo, cut, size, lam_lo
     kern = qssep_kernel() if family == "qssep" else wigner_kernel(1.0)
     h = GridFunction.indicator([(lo, min(lo + 0.15 + cut, 1.0))], G)  # wider than a cell
     lam = np.linspace(lam_lo, lam_lo + width, size)
-    dens = spectral_density(kern, h, lam, eps_ladder=ladder, chunk=chunk)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sv, "CHUNK", chunk)
+        dens = spectral_density(kern, h, lam, eps_ladder=ladder)
     _, gaps, _ = _reference_scan(kern, h.values, lam, ladder, chunk)
     assert not np.any(dens.gaps & ~gaps)
 
@@ -442,7 +474,7 @@ def test_newton_krylov_finishes_stalled_columns(monkeypatch):
         m.setattr(sv, "_solve_columns", recorded)
         dens = spectral_density(kern, h, lam, eps=1e-3)
     rho, gaps, _ = _reference_scan(kern, h.values, lam, [1e-3])
-    assert dens.fallbacks >= 1 and not dens.gaps.any() and not gaps.any()
+    assert dens.solver["fallbacks"] >= 1 and not dens.gaps.any() and not gaps.any()
     assert np.all(np.abs(dens.rho - rho) <= 1e-8)
     for state in solved:
         _assert_stationary(kern, h.values, state)
@@ -464,7 +496,7 @@ def test_state_root_is_w_of_its_own_profile(monkeypatch):
         m.setattr(sv, "RELAX_BUDGET", 10)
         dens = spectral_density(qssep_kernel(), GridFunction.constant(1.0, 64),
                                 np.linspace(0.37, 0.58, 12), eps=1e-3)
-    assert dens.fallbacks >= 1 and not dens.gaps.any()
+    assert dens.solver["fallbacks"] >= 1 and not dens.gaps.any()
     for state in solved:
         w = _qssep_w(_qssep_tail_integral(state.a), np.array(np.nan, dtype=complex))
         assert abs(state.root - w) <= 1e-11 * abs(w)

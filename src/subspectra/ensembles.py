@@ -409,33 +409,24 @@ class QRoot:
 def qssep_support(spec):
     """Support endpoints (z_minus, z_plus) of the subinterval spectrum.
 
-    Closed form from the criticality of the transcendental branch equation;
-    degenerate boundary placements use the limiting formulas.
+    Closed form from the criticality of the transcendental branch equation,
+    written without cancellation: with q = ell (1 - ell), sq = sqrt(q (q +
+    4 c (1 - d))) and s = c (1 - c) + d (1 - d) + sq, the lower root's
+    numerator (s - 2 sq) equals 4 c^2 (1 - d)^2 / s.  z_minus = 0 at c = 0
+    and z_plus = 1 at d = 1; there the other endpoint is the one-sided form.
     """
     c, d, ell = spec.c, spec.d, spec.ell
-    if c == 0.0 and d == 1.0:
-        return 0.0, 1.0
-    if c == 0.0:
-        z_plus = d / (d + (1.0 - d) * math.exp(-1.0 / (1.0 - d)))
-        return 0.0, z_plus
-    if d == 1.0:  # the mirror image of c = 0: z_minus(c, 1) = 1 - z_plus(0, 1 - c)
-        z_minus = c * math.exp(-1.0 / c) / (c * math.exp(-1.0 / c) + 1.0 - c)
-        return z_minus, 1.0
-    delta_big = ell * (1.0 - ell) * (ell * (1.0 - ell) + 4.0 * c * (1.0 - d))
-    if delta_big < 0:
-        raise DomainError(f"negative discriminant {delta_big} for spec {spec}")
-    sq = math.sqrt(delta_big)
-    base = c * (1.0 - c) + d * (1.0 - d)
-    out = []
-    for sign in (-1.0, +1.0):
-        delta = ((ell * (1.0 - ell) + sign * sq) / (2.0 * (1.0 - d)) - ell) / c
-        num = base + sign * sq
-        try:
-            weight = 2.0 * (1.0 - d) ** 2 * math.exp(-delta)
-        except OverflowError:  # c below about ell / 709: z_minus underflows to its limit 0
-            weight = math.inf
-        out.append(num / (num + weight))
-    return out[0], out[1]
+    q = ell * (1.0 - ell)
+    sq = math.sqrt(q * (q + 4.0 * c * (1.0 - d)))
+    s = c * (1.0 - c) + d * (1.0 - d) + sq
+    z_minus, z_plus = 0.0, 1.0  # their limits at c = 0 and d = 1
+    if c > 0.0:
+        weight = 2.0 * c * c * math.exp(-ell / c - 2.0 * q / (q + sq))
+        z_minus = weight / (weight + s)
+    if d < 1.0:
+        weight = 2.0 * (1.0 - d) ** 2 * math.exp(-ell / (1.0 - d) - 2.0 * q / (q + sq))
+        z_plus = s / (s + weight)
+    return z_minus, z_plus
 
 
 def _q_equation(log_q, z, c, d):

@@ -120,6 +120,18 @@ class QssepConfig:
         if self.integrator != "unitary":
             raise DomainError(f"unknown integrator {self.integrator!r} "
                               "(the only stepper is 'unitary')")
+        self.window()  # refuses a given window without a stride step
+
+    def window(self, start=None):
+        """(steps, start): the steps taken and the first one kept, by default t_stat's
+        (None when unset); a DomainError unless a stride step falls in [start, steps)."""
+        steps, stride = int(round(self.t_end / self.dt)), self.snapshot_stride
+        if start is None and self.t_stat is not None:
+            start = int(round(self.t_stat / self.dt))
+        if start is not None and -(-max(start, 0) // stride) * stride >= steps:
+            raise DomainError(f"no snapshot in the sampling window t in [{start * self.dt:g}, "
+                              f"{self.t_end:g}) at a stride of {stride} steps")
+        return steps, start
 
 
 @dataclass
@@ -134,44 +146,46 @@ class QssepRun:
     hermiticity_drift: float  # largest |M - M^H| at a stride, before re-hermitising
 
 
-def _even_odd(n):
-    """Site order of the stepper's storage: even sites, then odd ones."""
-    return np.r_[0:n:2, 1:n:2]
-
-
 def _bond_rotate(m, w, buf):
-    """M -> U M U^H in place, U = exp(i dh), for M stored in even-odd order.
+    """M -> U M U^H in place, U = exp(i dh), for M in natural site order.
 
     Bonds (0,1), (2,3), ... and (1,2), (3,4), ... form two layers that do
     not overlap, so U = U_1 U_0, each layer a direct sum of 2x2 unitaries
-    [[cos|w|, i sin|w| u], [i sin|w| conj(u), cos|w|]], u = w/|w|.  In
-    even-odd order each layer pairs two contiguous row blocks, which numpy
-    mixes several times faster than every-other-row slices.  Rows mix by U,
-    then columns by conj(U) as rows of the transpose in buf[0]; buf is
-    (2, N, N) scratch, so nothing of size N^2 is allocated.
+    G_a = [[cos|w|, i sin|w| u], [i sin|w| conj(u), cos|w|]], u = w/|w|.
+    Row 0 of U is G_0 row 0 on sites 0, 1; rows 2j+1, 2j+2 are the 2x4 block
+    G_2j+1 [[G_2j row 1, 0], [0, G_2j+2 row 0]] on sites 2j..2j+3; the tail
+    is the last row on two sites (even N) or the last two rows on three
+    (odd N: site N-1 has no layer-0 bond).  The blocks mix rows in one
+    batched matmul against a read-only window view of M (four rows at a
+    stride of two), the edges by np.dot; columns then mix by conj(U) as
+    rows of the transpose, U M U^H = (conj(U) (U M)^T)^T.  buf is (N, N).
     """
-    n = m.shape[0]
-    ne, k0, k1 = (n + 1) // 2, n // 2, (n - 1) // 2
+    n, k = m.shape[0], (m.shape[0] - 2) // 2
     aw = np.abs(w)
-    u = np.where(aw > 0, w / np.where(aw > 0, aw, 1.0), 1.0)[:, None]
-    c = np.cos(aw)[:, None]
-    s = 1j * np.sin(aw)[:, None]
-    layers = ((slice(0, k0), slice(ne, ne + k0), slice(0, None, 2)),
-              (slice(ne, ne + k1), slice(1, 1 + k1), slice(1, None, 2)))
-    mt, tmp = buf
-    for mat, s01, s10 in ((m, s * u, s * u.conj()), (mt, -s * u.conj(), -s * u)):
-        if mat is mt:  # the columns of M, mixed after its rows
-            np.copyto(mt, m.T)
-        for top, bot, bonds in layers:
-            r0, r1 = mat[top], mat[bot]
-            t0, t1 = tmp[:len(r0)], tmp[len(r0):2 * len(r0)]
-            np.multiply(r1, s01[bonds], out=t0)
-            np.multiply(r0, s10[bonds], out=t1)
-            r0 *= c[bonds]
-            r0 += t0
-            r1 *= c[bonds]
-            r1 += t1
-    np.copyto(m, mt.T)
+    r = np.sin(aw)
+    np.divide(r, aw, out=r, where=aw > 0)  # sin|w| / |w|, and 0 at w = 0
+    g = np.empty((n - 1, 2, 2), dtype=complex)
+    g[:, 0, 0] = g[:, 1, 1] = np.cos(aw)
+    np.multiply(r * w, 1j, out=g[:, 0, 1])
+    np.multiply(r * w.conj(), 1j, out=g[:, 1, 0])
+    blocks = np.empty((k, 2, 4), dtype=complex)
+    np.multiply(g[1:2 * k:2, :, :1], g[0:2 * k:2, None, 1], out=blocks[:, :, :2])
+    np.multiply(g[1:2 * k:2, :, 1:], g[2:2 * k + 1:2, None, 0], out=blocks[:, :, 2:])
+    if n % 2:
+        tail = np.empty((2, 3), dtype=complex)
+        np.multiply(g[-1, :, :1], g[-2, 1], out=tail[:, :2])
+        tail[:, 2] = g[-1, :, 1]
+    else:
+        tail = g[-1, 1:]
+    head, (t, tc) = g[0, :1], tail.shape
+    rs, cs = m.strides
+    window = np.lib.stride_tricks.as_strided(m, (k, 4, n), (2 * rs, rs, cs), writeable=False)
+    rows = buf[1:2 * k + 1].reshape(k, 2, n)
+    for h, b, tl in ((head, blocks, tail), (head.conj(), blocks.conj(), tail.conj())):
+        np.dot(h, m[:2], out=buf[:1])
+        np.matmul(b, window, out=rows)
+        np.dot(tl, m[n - tc:], out=buf[n - t:])
+        np.copyto(m, buf.T)
 
 
 def _boundary_drive(m, ends, rows, cols, rates, dt):
@@ -205,12 +219,14 @@ def detect_stationarity(values, window):
 def qssep_run(cfg):
     """Evolve the coherence matrix and collect stationary-window snapshots.
 
-    Starts from the diagonal linear profile.  Each step conjugates by the
-    exact bond rotation, which keeps M Hermitian up to rounding, so M is
-    re-hermitised only every snapshot_stride steps and the largest
+    Starts from the diagonal linear profile, stored in natural site order.
+    Each step conjugates by the exact bond rotation (_bond_rotate, one
+    batched block matmul per side), which keeps M Hermitian up to rounding,
+    so M is re-hermitised only every snapshot_stride steps and the largest
     deviation found there is reported as hermiticity_drift.
 
-    Snapshots (every snapshot_stride steps) begin at cfg.t_stat.  Unset, the
+    Snapshots (every snapshot_stride steps) begin at cfg.t_stat; the config
+    refuses a given window that holds no stride step.  Unset, the
     trajectory is still stepped once: all stride snapshots are held, up to
     steps // snapshot_stride N x N matrices, until the trace observable's
     plateau onset is known, and those before it are dropped; the result
@@ -221,17 +237,14 @@ def qssep_run(cfg):
     if n < 3:
         raise DomainError("need at least 3 sites")
     rng = rng_for(cfg.seed, cfg.stream)
-    order = _even_odd(n)  # site at each storage index
-    pos = np.argsort(order)
-    m = np.diag((order + 1) / n).astype(complex)
-    ends = pos[[0, -1]]
-    buf = np.empty((2, n, n), dtype=complex)
-    steps = int(round(cfg.t_end / cfg.dt))
+    m = np.diag(np.arange(1, n + 1) / n).astype(complex)
+    ends = np.array([0, n - 1])
+    buf = np.empty((n, n), dtype=complex)
+    steps, stat_step = cfg.window()
     sqrt_half_dt = np.sqrt(cfg.dt / 2.0)
     kept = []  # (step, snapshot)
     drift = 0.0
     trace_series = np.empty(steps)
-    stat_step = None if cfg.t_stat is None else int(round(cfg.t_stat / cfg.dt))
 
     for step in range(steps):
         w = sqrt_half_dt * (rng.standard_normal(n - 1)
@@ -253,16 +266,14 @@ def qssep_run(cfg):
                     f"spectrum escaped [{lo}, {hi}] at t={step * cfg.dt:.3f}; "
                     f"reduce dt (currently {cfg.dt})")
             if stat_step is None or step >= stat_step:
-                kept.append((step, m[np.ix_(pos, pos)]))
+                kept.append((step, m.copy()))
 
     if stat_step is None:
         # plateau detection on the trace observable, then cut at the onset
         onset = detect_stationarity(trace_series, max(20, steps // 20))
         stat_step = steps // 2 if onset is None else onset
         kept = [(step, snap) for step, snap in kept if step >= stat_step]
-    if not kept:
-        raise DomainError(f"no snapshot in the sampling window t in [{stat_step * cfg.dt:g}, "
-                          f"{cfg.t_end:g}) at a stride of {cfg.snapshot_stride} steps")
+        cfg.window(stat_step)
 
     return QssepRun(config=cfg, times=np.asarray([step * cfg.dt for step, _ in kept]),
                     snapshots=[snap for _, snap in kept], trace_series=trace_series,

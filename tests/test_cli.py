@@ -531,6 +531,17 @@ def test_simulate_without_a_snapshot_in_the_window_exits_4(tmp_path, capsys):
     assert not any(out.iterdir())
 
 
+def test_simulate_with_an_empty_given_window_exits_4_before_stepping(tmp_path, capsys,
+                                                                   monkeypatch):
+    # dt 3 from t_stat 2: steps 0 and 1, and no stride-5 step from step 1 on
+    monkeypatch.setattr(rmt_mc, "qssep_run", None)  # never called
+    cfg = write_cfg(tmp_path, "e.json", _sim(dt=3.0, t_stat=2.0, t_end=6.0, snapshot_stride=5))
+    out = tmp_path / "e"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 4
+    assert "no snapshot in the sampling window" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
 def test_closed_form_gap_written_as_nan(tmp_path, monkeypatch):
     cfg = dict(QSSEP_SPECTRUM, interval=[0.4, 0.7],
                lambda_grid={"min": 0.05, "max": 0.95, "count": 19})

@@ -197,55 +197,58 @@ def _qssep_eval(n, xs):
     return out if np.ndim(out) else float(out)
 
 
-def _qssep_w(i_vals, root, tol=1e-13):
-    """Root w of mean(1/(w - I)) = 1 for each remaining-mass profile I of a (..., G) stack.
+def _qssep_w(i_vals, root):
+    """The roots of _qssep_roots alone, for a remaining-mass profile given cell by cell."""
+    return _qssep_roots(np.asarray(i_vals), np.ones(np.shape(i_vals)[-1]), root)[0]
 
-    root, of shape i_vals.shape[:-1], holds the seeds on entry (NaN: none)
-    and the roots found on return, in place; the roots are also returned.
-    Complex rows run damped Newton together from their seeds.  Rows without
-    a seed, not settled from it, or real then run it together: complex rows
-    from 1 + mean(I), real rows from max(max I + 1/G, 1 + mean I), a lower
-    bound of the root above max I (the nearest cell alone gives 1/G, and
-    Jensen the other term), from which Newton rises monotonically on the
-    convex, decreasing branch.  Rows still unsettled track the root along
-    the homotopy t I, t: 0 -> 1.  A row with no admissible root comes back
-    as NaN and keeps its seed.
+
+def _qssep_roots(prof, weight, root, tol=1e-13):
+    """Root w of mean(1/(w - I)) = 1 for each remaining-mass profile I of a (..., m) stack.
+
+    Column j of I stands for weight[j] cells; the mean is over their sum G.
+    root, of shape prof.shape[:-1], holds the seeds on entry (NaN: none)
+    and the roots found on return, in place.  Returns (w, 1/(w - I)) as the
+    last Newton sweep left them.  One masked sweep runs the complex rows
+    from their seeds, one more the rest: complex rows from 1 + mean(I), real
+    rows (on Re I) from max(max I + 1/G, 1 + mean I), a lower bound of the
+    root above max I (the nearest cell alone gives 1/G, and Jensen the other
+    term), from which Newton rises monotonically on the convex, decreasing
+    branch.  Rows still unsettled track the root along the homotopy t I,
+    t: 0 -> 1.  A row with no admissible root comes back as NaN, with a NaN
+    inverse, and keeps its seed.
     """
-    i_vals = np.asarray(i_vals)
-    prof = i_vals.reshape(-1, i_vals.shape[-1])
-    seed = root.reshape(-1)
-    w = seed.copy()
-    settled = np.zeros(w.size, dtype=bool)
+    shape, m = prof.shape[:-1], prof.shape[-1]
+    prof, seed = prof.reshape(-1, m), root.reshape(-1)
     cplx = ~(np.max(np.abs(prof.imag), axis=-1) < 1e-14)
-    rows = np.flatnonzero(cplx & ~np.isnan(seed))
-    if rows.size:
-        w[rows], settled[rows] = _w_newton(seed[rows], prof[rows], tol)
-    rows = np.flatnonzero(~settled)
-    if rows.size:
-        c, p = cplx[rows], prof[rows]
-        p = np.where(c[:, None], p, p.real)
-        lower = np.maximum(p.real.max(axis=-1) + 1.0 / p.shape[-1], 1.0 + p.real.mean(axis=-1))
-        w[rows], settled[rows] = _w_newton(np.where(c, 1.0 + p.mean(axis=-1), lower), p, tol)
-    for r in np.flatnonzero(~settled):
-        w[r] = _w_homotopy(prof[r] if cplx[r] else prof[r].real, tol)
+    if not cplx.all():
+        prof = np.where(cplx[:, None], prof, prof.real)
+    w, settled, inv = _w_newton(seed, prof, weight, tol, cplx & ~np.isnan(seed))
+    if not settled.all():
+        G, re = weight.sum(), prof.real
+        lower = np.maximum(re.max(axis=-1) + 1.0 / G, 1.0 + (re * weight).sum(axis=-1) / G)
+        start = np.where(cplx, 1.0 + (prof * weight).sum(axis=-1) / G, lower)
+        w, now, inv = _w_newton(np.where(settled, w, start), prof, weight, tol, ~settled)
+        for r in np.flatnonzero(~(settled | now)):
+            w[r], inv[r] = _w_homotopy(prof[r], weight, tol)
     root[...] = np.where(np.isnan(w), seed, w).reshape(root.shape)
-    return w.reshape(root.shape)
+    return w.reshape(shape), inv.reshape(shape + (m,))
 
 
-def _w_homotopy(prof, tol):
-    """The outer root tracked from w = 1 along t I, t: 0 -> 1; NaN if the steps stall."""
+def _w_homotopy(prof, weight, tol):
+    """The outer root tracked from w = 1 along t I, t: 0 -> 1, and its 1/(w - I); NaN if the steps stall."""
     w, t, dt = 1.0 + 0.0j, 0.0, 0.25
     while t < 1.0:
         t_next = min(1.0, t + dt)
-        w_next, ok = _w_newton(np.array([w]), (t_next * prof)[None], tol, iters=50)
+        w_next, ok, inv = _w_newton(np.array([w]), (t_next * prof)[None], weight, tol,
+                                    np.array([True]), iters=50)
         if not ok[0]:
             dt *= 0.5
             if dt < 1e-5:
-                return np.nan
+                return np.nan, np.nan
             continue
         w, t = w_next[0], t_next
         dt = min(0.5, dt * 1.6)
-    return w
+    return w, inv[0]
 
 
 def _scalar_abs(x):
@@ -254,89 +257,100 @@ def _scalar_abs(x):
     return np.hypot(x.real, x.imag)
 
 
-def _w_newton(w, prof, tol, iters=60):
-    """Damped Newton on mean(1/(w - I)) = 1, one root per row of the (k, G) stack I.
+def _w_newton(w, prof, weight, tol, go, iters=60):
+    """Damped Newton on mean(1/(w - I)) = 1 (weights as in _qssep_roots), one masked sweep
+    over the (k, m) stack I from the seeds w; rows outside go keep theirs.
 
-    Starts from the seeds w and returns (roots, converged mask).  A row
-    settles when |g| <= tol * max(1, mean|1/(w - I)|), or when its Newton
-    step is below 4 ulps of |w|: far from the profile scale, the first test
-    asks for less than the rounding floor of g.  A row stops unsettled when
-    its step would land within 1e-13 of a profile value or its derivative
-    degenerates; steps are capped at half of 1 + |w| and halved until they
-    keep 1e-12 away from the profile.
+    Returns (w, settled mask, 1/(w - I)).  A row settles when |g| <= tol *
+    max(1, mean|1/(w - I)|), or when its step is below 4 ulps of |w| (far
+    from the profile scale the first test asks for less than the rounding
+    floor of g).  It stops unsettled when some |1/(w - I)| exceeds 1e13 or its
+    derivative degenerates.  Steps are capped at half of 1 + |w| and halved
+    while some |1/(w - I)| reaches 1e12; the last trial's inverse serves the next sweep.
     """
-    n = prof.shape[-1]
+    G = weight.sum()
     w = w.astype(complex)
-    rows = np.arange(w.size)
+    go = go.copy()
     settled = np.zeros(w.size, dtype=bool)
-    wr = w.copy()
-    d = wr[:, None] - prof
-    dist = np.abs(d)
-    for _ in range(iters):
-        stuck = np.min(dist, axis=-1) < 1e-13
-        with np.errstate(divide="ignore", invalid="ignore"):  # stuck rows are dropped
-            inv = 1.0 / d
-            # sum / n is np.mean's arithmetic without its per-call overhead
-            g = inv.sum(axis=-1) / n - 1.0
-            scale = np.maximum(1.0, np.abs(inv).sum(axis=-1) / n)
-            done = ~stuck & (_scalar_abs(g) <= tol * scale)
-            if done.all():
-                w[rows], settled[rows] = wr, True
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows outside go keep their w
+        inv = 1.0 / (w[:, None] - prof)
+        big = np.abs(inv)
+        peak = big.max(axis=-1)
+        for _ in range(iters):
+            winv = inv * weight
+            g = winv.sum(axis=-1) / G - 1.0
+            step = g / -((winv * inv).sum(axis=-1) / G)
+            size, aw = _scalar_abs(step), _scalar_abs(w)
+            free = peak <= 1e13
+            done = free & ((_scalar_abs(g) <= tol * np.maximum(1.0, (big * weight).sum(axis=-1) / G))
+                           | (size <= 8.9e-16 * aw))
+            settled |= go & done
+            go &= free & ~done & np.isfinite(step)  # a zero or non-finite derivative stops
+            if not go.any():
                 break
-            step = g / -((inv * inv).sum(axis=-1) / n)
-            size, aw = _scalar_abs(step), _scalar_abs(wr)
-            done |= ~stuck & (size <= 8.9e-16 * aw)  # 4 ulps
-        w[rows[done]] = wr[done]
-        settled[rows[done]] = True
-        go = ~(done | stuck) & np.isfinite(step)  # a zero or non-finite derivative stops
-        if not go.any():
-            break
-        if not go.all():
-            rows, wr, prof, step, size, aw = rows[go], wr[go], prof[go], step[go], size[go], aw[go]
-        cap = 0.5 * (1.0 + aw)
-        over = size > cap
-        step[over] *= cap[over] / size[over]
-        d = (wr - step)[:, None] - prof
-        dist = np.abs(d)
-        for _ in range(60):
-            near = np.min(dist, axis=-1) <= 1e-12
-            if not near.any():
-                break
-            step[near] *= 0.5
-            d = (wr - step)[:, None] - prof
-            dist = np.abs(d)
-        wr = wr - step
-    return w, settled
+            step = np.where(go, step * np.minimum(1.0, 0.5 * (1.0 + aw) / size), 0.0)
+            for _ in range(61):
+                trial = w - step
+                inv = 1.0 / (trial[:, None] - prof)
+                big = np.abs(inv)
+                peak = big.max(axis=-1)
+                near = go & (peak >= 1e12)
+                if not near.any():
+                    break
+                step = np.where(near, 0.5 * step, step)
+            w = trial
+    return w, settled, inv
 
 
-def _qssep_tail_integral(a):
-    """I(x_k) = integral of a over (x_k, 1], consistent with the midpoint rule.
+def _qssep_tail_integral(a, G=None):
+    """I(x_k) = integral of a over (x_k, 1], consistent with the midpoint rule on G
+    cells (default: a's columns).  Acts along the last axis, one profile per row."""
+    out = 0.5 * a
+    out[..., :-1] += np.cumsum(a[..., ::-1], axis=-1)[..., -2::-1]
+    out /= a.shape[-1] if G is None else G
+    return out
 
-    Acts along the last axis, so a (k, G) stack gives one profile per row.
+
+def _qssep_head_integral(f, weight):
+    """integral of f over [0, x_k), consistent with the midpoint rule (last axis), one entry
+    per cell: the first and last columns stand for weight[0] and weight[-1] equal cells, the
+    k-th of which adds (k + 1/2) f / G to the total before it; the others for one cell."""
+    total = np.cumsum(f * weight, axis=-1)
+    cells = 0.5 * f
+    cells[..., 1:] += total[..., :-1]
+    lead = np.arange(1.5, weight[0]) * f[..., :1]
+    trail = total[..., -2:-1] + np.arange(1.5, weight[-1]) * f[..., -1:]
+    # numpy divides a complex by a real G as a product with 1/G: same values, 4x the time
+    return np.concatenate((cells[..., :1], lead, cells[..., 1:], trail), axis=-1) * (1.0 / weight.sum())
+
+
+def _qssep_span(a):
+    """Remaining mass I of a stack a on the span of its nonzero columns, and column weights.
+
+    I is constant where a is 0: the integral of a (bitwise its value cell by
+    cell) over the leading zero run, 0 over the trailing one.  Each run keeps
+    one column, weighted by its length; without zero runs all weights are 1.
     """
     G = a.shape[-1]
-    rev = np.cumsum(a[..., ::-1], axis=-1)[..., ::-1]
-    rev = np.concatenate((rev[..., 1:], 0.0 * a[..., :1]), axis=-1)
-    return (rev + 0.5 * a) / G
-
-
-def _qssep_head_integral(f):
-    """integral of f over [0, x_k), consistent with the midpoint rule (last axis)."""
-    G = f.shape[-1]
-    head = np.concatenate((0.0 * f[..., :1], np.cumsum(f, axis=-1)[..., :-1]), axis=-1)
-    return (head + 0.5 * f) / G
+    nz = np.flatnonzero(a.reshape(-1, G).any(axis=0))
+    lo, hi = (max(nz[0] - 1, 0), min(nz[-1] + 2, G)) if nz.size else (0, min(2, G))
+    weight = np.ones(hi - lo)
+    weight[0] += lo
+    weight[-1] += G - hi
+    return _qssep_tail_integral(a[..., lo:hi], G), weight
 
 
 def _qssep_r0(a, root):
-    i_vals = _qssep_tail_integral(np.asarray(a))
-    w = _qssep_w(i_vals, root)
-    return _qssep_head_integral(1.0 / (w[..., None] - i_vals))
+    """R0[a] = head integral of 1/(w - I), worked out on the span of a's nonzero columns."""
+    prof, weight = _qssep_span(np.asarray(a))
+    return _qssep_head_integral(_qssep_roots(prof, weight, root)[1], weight)
 
 
 def _qssep_f0(a, root):
-    i_vals = _qssep_tail_integral(np.asarray(a))
-    w = _qssep_w(i_vals, root)
-    return w - 1.0 - np.mean(np.log(w[..., None] - i_vals), axis=-1)
+    """F0[a] = w - 1 - mean log(w - I), on the same span as _qssep_r0."""
+    prof, weight = _qssep_span(np.asarray(a))
+    w = _qssep_roots(prof, weight, root)[0]
+    return w - 1.0 - (np.log(w[..., None] - prof) * weight).sum(axis=-1) / weight.sum()
 
 
 def qssep_kernel():

@@ -19,12 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, StabilityError
+from .errors import DomainError, SizeLimitError, StabilityError
 from .freeprob import SpectralDensity
 
 HERMITICITY_TOL = 1e-12
 STABILITY_WINDOW = (-0.1, 1.1)  # a snapshot eigenvalue outside it aborts a run
 STATIONARITY_REL_TOL = 0.02
+MAX_STEPS = 10 ** 7  # steps of one QSSEP trajectory; C07's longest takes about 91 000
 
 
 def rng_for(seed, stream=0):
@@ -124,8 +125,12 @@ class QssepConfig:
 
     def window(self, start=None):
         """(steps, start): the steps taken and the first one kept, by default t_stat's
-        (None when unset); a DomainError unless a stride step falls in [start, steps)."""
-        steps, stride = int(round(self.t_end / self.dt)), self.snapshot_stride
+        (None when unset); a SizeLimitError unless t_end / dt is at most MAX_STEPS, and
+        a DomainError unless a stride step falls in [start, steps)."""
+        ratio, stride = self.t_end / self.dt, self.snapshot_stride
+        if not ratio <= MAX_STEPS:  # also an infinite or NaN ratio
+            raise SizeLimitError(f"t_end / dt = {ratio:g} steps, above the cap of {MAX_STEPS}")
+        steps = int(round(ratio))
         if start is None and self.t_stat is not None:
             start = int(round(self.t_stat / self.dt))
         if start is not None and -(-max(start, 0) // stride) * stride >= steps:

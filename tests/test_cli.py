@@ -467,16 +467,19 @@ def _sim(**mc):
                   "mc": {"n_dim": 8, "samples": 1}}, 4),
     ("simulate", _sim(rates=[math.nan, 1, 1, 0]), 4),
     ("spectrum", dict(QSSEP_SPECTRUM, grid=-1), 4),
+    ("simulate", _sim(dt=1e-300, t_end=1e10), 4),
+    ("simulate", _sim(dt=1e-6, t_end=1e6), 4),
 ], ids=["count-negative", "count-zero", "interval-short", "interval-string", "interval-bool",
         "interval-long", "h-zero", "order-zero", "order-negative", "files-null", "files-int",
         "reference-int", "rates-string", "rates-null", "rates-bool", "rates-long",
         "stride-zero", "stride-negative", "bins-zero", "bins-negative", "t_end-nan", "dt-inf",
-        "seed-negative", "atom-location-inf", "rates-nan", "grid-negative"])
+        "seed-negative", "atom-location-inf", "rates-nan", "grid-negative", "steps-overflow",
+        "steps-above-cap"])
 def test_configs_that_crashed_exit_2_or_4_before_any_work(tmp_path, monkeypatch,
                                                            command, cfg, code):
     # each of these used to end in a traceback (exit 1), some after stepping a trajectory,
     # or to run on a misread value: a boolean as 0 or 1, a list cut to its first entries,
-    # a negative stride as its absolute value
+    # a negative stride as its absolute value; a step count t_end / dt past the cap
     monkeypatch.setattr(rmt_mc, "qssep_run", lambda cfg: pytest.fail("stepped"))
     out = tmp_path / "x"
     assert cli.main([command, "--config", write_cfg(tmp_path, "x.json", cfg),

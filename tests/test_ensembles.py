@@ -26,7 +26,8 @@ from subspectra import (
 )
 from subspectra import freeprob as fp
 from subspectra import solver as sv
-from subspectra.ensembles import _qssep_tail_integral, _qssep_w
+from subspectra.ensembles import (_qssep_head_integral, _qssep_r0, _qssep_tail_integral,
+                                  _qssep_w)
 from subspectra.errors import DomainError, UnsupportedOrderError
 from subspectra.grids import midpoints
 
@@ -211,6 +212,61 @@ def test_qssep_w_real_rows_match_brentq(i_vals, seeded):
         ref = _brentq_root(i_vals[r].real)
         assert w[r].imag == 0.0 and w[r].real > i_vals[r].real.max()
         assert abs(w[r].real - ref) <= 1e-13 * ref
+
+
+@st.composite
+def _r0_stacks(draw):
+    """(k, G) stacks a = h / (z - h b) of the solver's form with per-row seeds as in
+    _w_problem, some rows real.  With runs, h has zero runs of any length (up to all
+    of h) at either end and zeros inside; without, h has no zero at all."""
+    runs = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    k, G = rng.integers(1, 7), rng.integers(2, 65)
+    h = rng.uniform(0.05, 1.0, size=G)
+    if runs:
+        h *= rng.random(G) < 0.8
+        h[:rng.integers(0, G + 1)] = 0.0
+        h[G - rng.integers(0, G + 1):] = 0.0
+    z = rng.uniform(-0.5, 2.5, size=(k, 1)) + 1j * 10.0 ** rng.uniform(-6, 0.5, size=(k, 1))
+    a = h / (z - h * rng.uniform(0.0, 1.5, size=(k, G)))
+    real = rng.random(k) < 0.3
+    a[real] = a[real].real
+    kind = rng.integers(0, 3, size=k)
+    near = _qssep_w(_qssep_tail_integral(a), np.full(k, np.nan, dtype=complex)) \
+        * (1 + 1e-3 * rng.normal(size=k))
+    seeds = np.where(kind == 0, np.nan, np.where(kind == 1, near, rng.normal(size=k) * (1 + 1j)))
+    return a, seeds, runs
+
+
+@settings(max_examples=80, deadline=None)
+@given(stack=_r0_stacks())
+def test_qssep_r0_on_the_support_span_matches_the_whole_grid(stack):
+    """The closed form on the span of the nonzero columns, each zero run one weighted
+    column, against the cell-by-cell reference: the head integral of 1/(w - I) with w
+    from _qssep_w on the whole I.  b within 1e-13 max(1, |b|) and roots within 1e-13
+    (measured over 3 000 draws: 4.3e-15 and 7.6e-16); bitwise when h has no zero.  A row
+    gets bitwise the b and root alone that it gets in its stack."""
+    a, seeds, runs = stack
+    k, G = a.shape
+    root = seeds.copy()
+    b = _qssep_r0(a, root)
+    i_vals = _qssep_tail_integral(a)
+    ref_root = seeds.copy()
+    w = _qssep_w(i_vals, ref_root)
+    ref = _qssep_head_integral(1.0 / (w[:, None] - i_vals), np.ones(G))
+    np.testing.assert_array_equal(np.isnan(b), np.isnan(ref))
+    ok = ~np.isnan(ref)
+    assert np.all(np.abs(b - ref)[ok] <= 1e-13 * np.maximum(1.0, np.abs(ref[ok])))
+    fin = ~np.isnan(ref_root)
+    assert np.all(np.abs(root - ref_root)[fin] <= 1e-13 * np.abs(ref_root[fin]))
+    np.testing.assert_array_equal(np.isnan(root), ~fin)
+    if not runs:
+        np.testing.assert_array_equal(b, ref)
+        np.testing.assert_array_equal(root, ref_root)
+    for r in range(k):
+        alone = np.array(seeds[r])
+        np.testing.assert_array_equal(_qssep_r0(a[r], alone), b[r])
+        np.testing.assert_array_equal(alone, root[r])
 
 
 def test_qssep_full_density_values():
@@ -409,6 +465,46 @@ def test_subblock_density_mass_and_gaps():
     assert dens.atom_weight == pytest.approx(0.7)
     with pytest.raises(DomainError):
         qssep_subblock_density(spec, np.array([-0.1, 0.5]))
+
+
+# soft edges: both support endpoints away from 0 and 1 (c = 0 or d = 1 make that edge
+# a log-singular one, which these tests leave out)
+SOFT_EDGES = [((0.4, 0.7), "both"), ((0.1, 0.3), "both"), ((0.25, 0.75), "both"),
+              ((0.0, 0.5), "upper"), ((0.2, 1.0), "lower")]
+
+
+@pytest.mark.parametrize("cd,sides", SOFT_EDGES)
+def test_subblock_density_has_square_root_edges(cd, sides):
+    """rho / sqrt(distance to the edge) tends to a finite positive constant C, taken at
+    1e-7, for distances 1e-4 to 1e-10.  Tolerance 1e3 delta + 1e-2 on |ratio / C - 1|,
+    from measurement: the first-order term is at most 6.5e2 delta ((0.2, 1) lower edge),
+    and solve_Q's residual tolerance puts a floor of 5.5e-3 under it at 1e-10."""
+    spec = QssepBlockSpec(*cd)
+    zm, zp = qssep_support(spec)
+    deltas = 10.0 ** -np.arange(4, 11)
+    rho = qssep_subblock_density(spec, np.concatenate([zm + deltas, zp - deltas])).rho
+    for side, ratio in (("lower", rho[:7] / np.sqrt(deltas)), ("upper", rho[7:] / np.sqrt(deltas))):
+        if sides in ("both", side):
+            assert np.all(np.isfinite(ratio)) and np.all(ratio > 0)
+            assert np.all(np.abs(ratio / ratio[3] - 1.0) <= 1e3 * deltas + 1e-2)
+
+
+@pytest.mark.parametrize("cd", [cd for cd, sides in SOFT_EDGES if sides == "both"])
+def test_subblock_density_mass_tends_to_one(cd):
+    """The trapezoid mass of rho_block on 200, 400 and 800 points from z_- to z_+ falls
+    short of 1 by less each time, by a factor of at least 2.4 per halving (2^1.5 for
+    square-root edges; measured 2.5 to 2.8), and by less than 2e-3 at 800 points
+    (measured 1.8e-4 to 1.9e-3)."""
+    spec = QssepBlockSpec(*cd)
+    zm, zp = qssep_support(spec)
+    defect = []
+    for n in (200, 400, 800):
+        lam = np.linspace(zm, zp, n)
+        dens = qssep_subblock_density(spec, lam)
+        assert not dens.gaps.any()
+        defect.append(1.0 - np.trapezoid(dens.rho, lam))
+    assert defect[0] > 2.4 * defect[1] > 5.76 * defect[2] > 0
+    assert defect[2] < 2e-3
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from subspectra import freeprob as fp
 from subspectra import rmt_mc as mc
-from subspectra.errors import DomainError, StabilityError
+from subspectra.errors import DomainError, SizeLimitError, StabilityError
 
 
 def test_wigner_sampler_statistics():
@@ -90,6 +90,18 @@ def test_qssep_config_rejects_an_empty_window(dt, t_stat, t_end, stride):
     with pytest.raises(DomainError, match="no snapshot in the sampling window"):
         mc.QssepConfig(n_sites=10, dt=dt, t_stat=t_stat, t_end=t_end, snapshot_stride=stride)
     mc.QssepConfig(n_sites=10, dt=dt, t_stat=0.0, t_end=t_end, snapshot_stride=stride)
+
+
+@pytest.mark.parametrize("dt,t_end", [
+    (1e-300, 1e10),  # t_end / dt overflows: int(round(inf)) raised OverflowError
+    (1e-6, 1e6),  # 1e12 steps: trace_series of that length, then stepping for ever
+    (1.0, mc.MAX_STEPS + 1.0),
+])
+def test_qssep_config_caps_the_step_count(dt, t_end):
+    with pytest.raises(SizeLimitError, match="above the cap"):
+        mc.QssepConfig(n_sites=10, dt=dt, t_end=t_end)
+    assert mc.QssepConfig(n_sites=10, dt=1.0, t_end=float(mc.MAX_STEPS)).window() \
+        == (mc.MAX_STEPS, None)
 
 
 @pytest.mark.parametrize("n", [40, 41])

@@ -72,8 +72,7 @@ H = {"type": (str, REQUIRED, {"intervals": {"intervals": ([(float, float)], REQU
                               "named": {"name": (str, REQUIRED, dict.fromkeys(NAMED_H, {}))}})}
 S_SQUARED = {"type": (str, REQUIRED, {"table": {"values": VALUES}, "named": {
     "name": (str, REQUIRED, dict.fromkeys(NAMED_PROFILES, {}))}})}
-ATOMS = [(float, float)]  # [location, weight] pairs
-LOCATIONS = (lambda a: all(np.isfinite(x) for x, _ in a), DomainError, "need finite locations")
+ATOMS = [(float, float)]  # [location, weight] pairs, checked by freeprob.Measure1D
 WIGNER = {"s": (float, 1.0, POSITIVE)}
 
 
@@ -126,7 +125,7 @@ MC_FOR_SAMPLED = ({**dict.fromkeys(MC_QSSEP, (object, None)), **MC, **MC_SAMPLED
 SIMULATE = {"command": (str, None), "ensemble": (str, REQUIRED, {
     "qssep": {"mc": MC_FOR_QSSEP, "params": ({}, {})},
     "wigner": {"mc": MC_FOR_SAMPLED, "params": (WIGNER, {})},
-    "haar": {"mc": MC_FOR_SAMPLED, "params": ({"atoms": (ATOMS, REQUIRED, LOCATIONS)}, {})}}),
+    "haar": {"mc": MC_FOR_SAMPLED, "params": ({"atoms": (ATOMS, REQUIRED)}, {})}}),
     "seed": (int, 0, (lambda s: 0 <= s < 2 ** 64, DomainError, "must lie in [0, 2**64)"))}
 
 
@@ -215,7 +214,7 @@ def build_kernel(ens, params, resolution):
               else _resampled(spec["values"], resolution))
         if not np.all(s2 > 0):
             raise DomainError("variance profile s(x)^2 must be positive")
-        return ensembles.inhomogeneous_wigner_kernel(GridFunction(np.sqrt(s2)), resolution)
+        return ensembles.inhomogeneous_wigner_kernel(np.sqrt(s2))
     if ens == "qssep":
         return ensembles.qssep_kernel()
     if "cumulants" in params:  # haar and custom
@@ -297,7 +296,7 @@ def _setup(cfg, table):
 
 def cmd_spectrum(cfg, out_dir):
     c, kern, h = _setup(cfg, _spectrum)
-    resolution, lg, eps = c["grid"], c["lambda_grid"], c["eps"]
+    lg, eps = c["lambda_grid"], c["eps"]
     lam = np.linspace(lg["min"], lg["max"], lg["count"])
     dens = solver.spectral_density(kern, h, lam, eps=eps, eps_ladder=c["eps_ladder"])
     closed = None
@@ -314,7 +313,7 @@ def cmd_spectrum(cfg, out_dir):
     csv_path = os.path.join(out_dir, "density.csv")
     digest = write_csv(csv_path,
                        {"lambda": dens.lam, "rho_block": dens.rho, "rho_total": dens.rho_total()},
-                       header_meta={"eps": _fmt(eps), "G": resolution})
+                       header_meta={"eps": _fmt(eps), "G": h.resolution})
     sidecar = {
         "config": cfg,
         "support": list(dens.support) if dens.support else None,
@@ -401,10 +400,9 @@ def cmd_simulate(cfg, out_dir):
 
 def cmd_oracle(cfg, out_dir):
     c, kern, h = _setup(cfg, ORACLE)
-    n_max, resolution = c["n_max"], c["grid"]
-    phis_oracle = [ncpart.moment_oracle(kern, h, n, resolution)
-                   for n in range(1, n_max + 1)]
-    phis_solver = solver.moment_series(kern, h, n_max, resolution=resolution).coeffs
+    n_max = c["n_max"]
+    phis_oracle = [ncpart.moment_oracle(kern, h, n) for n in range(1, n_max + 1)]
+    phis_solver = solver.moment_series(kern, h, n_max).coeffs
     gaps = [abs(a - b) / max(abs(a), abs(b), 1e-9)
             for a, b in zip(phis_oracle, phis_solver)]
     path = os.path.join(out_dir, "oracle.csv")
@@ -412,7 +410,7 @@ def cmd_oracle(cfg, out_dir):
                               "phi_oracle": phis_oracle,
                               "phi_solver": phis_solver,
                               "rel_gap": gaps},
-                       header_meta={"G": resolution})
+                       header_meta={"G": h.resolution})
     write_sidecar(os.path.join(out_dir, "oracle.json"),
                   {"config": cfg, "max_rel_gap": max(gaps),
                    "settings_hash": _settings_hash(cfg), "content_hash": digest})
@@ -423,8 +421,7 @@ def cmd_oracle(cfg, out_dir):
 
 def cmd_diagnose(cfg, out_dir):
     c, kern, h = _setup(cfg, DIAGNOSE)
-    ratio, s_h = ensembles.nonfreeness_diagnostic(kern, h, order=c["order"],
-                                                  resolution=c["grid"])
+    ratio, s_h = ensembles.nonfreeness_diagnostic(kern, h, order=c["order"])
     gap = float(np.max(np.abs(ratio.asarray() - s_h.asarray())))
     verdict = "free-compatible" if gap < 1e-8 else "not-free-compatible"
     payload = {"config": cfg, "ratio_coeffs": list(ratio.coeffs),

@@ -16,19 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    RootTrackingError,
-    SizeLimitError,
-    UnsupportedOrderError,
-)
+from .errors import DomainError, RootTrackingError, UnsupportedOrderError
 from . import freeprob
 from .freeprob import FormalSeries, SpectralDensity
-from .grids import as_grid_values, checked_weight, midpoints
+from .grids import as_grid_values, checked_interval, checked_weight, midpoints
 from .kernels import LocalCumulantKernel, constant_kernel
 from .ncpart import enumerate_nc
 
-QSSEP_KERNEL_MAX_N = 8
+QSSEP_KERNEL_MAX_N = 8  # highest order of the kernel's partition recursion
+Q_TOL, Q_MAX_ITER = 1e-12, 80  # solve_Q: Newton converges at |residual| <= Q_TOL; steps per seed
 
 
 # ---------------------------------------------------------------------------
@@ -42,16 +38,16 @@ def wigner_kernel(s):
     return constant_kernel([0.0, float(s) ** 2], name=f"wigner(s={s})")
 
 
-def inhomogeneous_wigner_kernel(s_profile, resolution=None):
+def inhomogeneous_wigner_kernel(s_profile):
     """Diagonal-covariance pair kernel with variance profile s(x)^2.
 
     The pair cumulant is concentrated on coinciding positions, so the
     functional gradient acts cellwise: b(x) = s(x)^2 a(x).  There is no
     pointwise kernel evaluation (the profile is a distribution in x - y);
-    only the solver closed forms are provided.  A GridFunction or array
-    profile keeps its own size; a callable or scalar needs resolution.
+    only the solver closed forms are provided.  s_profile is a grid profile
+    (as_grid_values), and the solver's grid must be its own.
     """
-    s_vals = as_grid_values(s_profile, resolution)
+    s_vals = as_grid_values(s_profile)
     if np.any(s_vals <= 0):
         raise DomainError("variance profile s(x) must be positive")
     s2 = np.asarray(s_vals, dtype=float) ** 2
@@ -68,15 +64,14 @@ def inhomogeneous_wigner_kernel(s_profile, resolution=None):
                                zero_beyond=2, r0_form=r0, f0_form=f0)
 
 
-def inhomogeneous_wigner_density(s_profile, lam, resolution=None):
+def inhomogeneous_wigner_density(s_profile, lam):
     """Density of the variance-profile ensemble on the full interval.
 
     Superposition of local semicircles:
     rho(lam) = (1/2pi) integral dx sqrt(max(4 s(x)^2 - lam^2, 0)) / s(x)^2,
-    with the profile coerced as in inhomogeneous_wigner_kernel.
+    with the profile read as in inhomogeneous_wigner_kernel.
     """
-    s_vals = np.asarray(as_grid_values(s_profile, resolution), dtype=float)
-    s2 = s_vals ** 2
+    s2 = np.asarray(as_grid_values(s_profile), dtype=float) ** 2
     lam = np.asarray(lam, dtype=float)
     rad = np.maximum(4.0 * s2[None, :] - lam[..., None] ** 2, 0.0)
     out = np.mean(np.sqrt(rad) / s2[None, :], axis=-1) / (2.0 * np.pi)
@@ -356,24 +351,16 @@ def _qssep_f0(a, root):
 def qssep_kernel():
     """Steady-state kernel of the boundary-driven exclusion process.
 
-    Pointwise values come from the partition recursion (orders up to 8);
-    the solver uses the implicit closed form of the generating functional.
+    Pointwise values come from the partition recursion, which eval caps at
+    QSSEP_KERNEL_MAX_N; the solver uses the implicit closed-form functional.
     """
-
-    def fn(n, xs):
-        if n > QSSEP_KERNEL_MAX_N:
-            raise SizeLimitError(
-                f"kernel recursion supported to order {QSSEP_KERNEL_MAX_N}, got {n}")
-        return _qssep_eval(n, xs)
-
-    return LocalCumulantKernel(name="qssep", fn=fn, max_order=QSSEP_KERNEL_MAX_N,
+    return LocalCumulantKernel(name="qssep", fn=_qssep_eval, max_order=QSSEP_KERNEL_MAX_N,
                                r0_form=_qssep_r0, f0_form=_qssep_f0)
 
 
-def qssep_f0(a, resolution=None):
-    """Closed-form generating functional for a grid profile a (coerced by as_grid_values)."""
-    a_vals = as_grid_values(a, resolution)
-    return complex(_qssep_f0(np.asarray(a_vals), np.array(np.nan, dtype=complex)))
+def qssep_f0(a):
+    """Closed-form generating functional for a grid profile a (checked by as_grid_values)."""
+    return complex(_qssep_f0(as_grid_values(a), np.array(np.nan, dtype=complex)))
 
 
 def qssep_full_density(lam):
@@ -398,8 +385,7 @@ class QssepBlockSpec:
     d: float
 
     def __post_init__(self):
-        if not (0.0 <= self.c < self.d <= 1.0):
-            raise DomainError(f"need 0 <= c < d <= 1, got ({self.c}, {self.d})")
+        checked_interval(self.c, self.d)
 
     @property
     def ell(self):
@@ -453,7 +439,7 @@ def _q_equation(log_q, z, c, d):
     return val, der
 
 
-def solve_Q(spec, lam, warm_start=None, tol=1e-12, max_iter=80):
+def solve_Q(spec, lam, warm_start=None):
     """Track the branch parameter Q = r e^{i theta} at one lam in the support.
 
     Complex Newton on L = log Q with the analytic derivative; seeds fall
@@ -472,9 +458,9 @@ def solve_Q(spec, lam, warm_start=None, tol=1e-12, max_iter=80):
     for seed in seeds:
         log_q = seed
         converged = False
-        for _ in range(max_iter):
+        for _ in range(Q_MAX_ITER):
             val, der = _q_equation(log_q, lam, c, d)
-            if abs(val) <= tol:
+            if abs(val) <= Q_TOL:
                 converged = True
                 break
             if der == 0:
@@ -536,7 +522,7 @@ def qssep_subblock_density(spec, lam_grid):
 # compatibility with free multiplicative convolution
 # ---------------------------------------------------------------------------
 
-def nonfreeness_diagnostic(kern, h, order=2, resolution=None):
+def nonfreeness_diagnostic(kern, h, order=2):
     """Leading ratio series of the slice equation versus the weight S-series.
 
     Expands the implicit relation between the probed spectral parameters of
@@ -544,12 +530,11 @@ def nonfreeness_diagnostic(kern, h, order=2, resolution=None):
     it with the S-transform of the weight profile's value distribution.
     Equality of the two series is the signature of compatibility with free
     multiplicative convolution; position-dependent kernels generically
-    break it already at order zero.  h is a nonnegative weight, coerced by
-    as_grid_values.
+    break it already at order zero.  h is a weight profile (checked_weight).
     """
     if order not in (1, 2):
         raise DomainError(f"order must be 1 or 2, got {order}")
-    h_vals = checked_weight(h, resolution)
+    h_vals = checked_weight(h)
     G = h_vals.size
     x = midpoints(G)
     g1 = np.asarray(kern.eval(1, x), dtype=float)

@@ -212,10 +212,12 @@ def evaluate_k_of_g(kappa, m, z):
 # ---------------------------------------------------------------------------
 
 class Measure1D:
-    """A discrete probability measure: (location, weight) atoms."""
+    """A discrete probability measure: (location, weight) atoms, all finite."""
 
     def __init__(self, atoms):
         atoms = [(float(a), float(w)) for a, w in atoms]
+        if not np.all(np.isfinite(atoms)):
+            raise DomainError("atom locations and weights must be finite")
         if any(w < 0 for _, w in atoms):
             raise DomainError("atom weights must be nonnegative")
         if abs(sum(w for _, w in atoms) - 1.0) > ATOM_WEIGHT_TOL:

@@ -2,7 +2,8 @@
 
 All quadrature in the package is the midpoint rule: the integral of a grid
 function equals the mean of its values.  Weight profiles h, the slice
-variables a_z, b_z and variance profiles all live on this grid.
+variables a_z, b_z and variance profiles all live on this grid, and each
+profile carries its own: G is its size (checked by as_grid_values).
 """
 
 import numpy as np
@@ -21,12 +22,7 @@ class GridFunction:
     __slots__ = ("values",)
 
     def __init__(self, values):
-        values = np.asarray(values)
-        if values.ndim != 1 or values.size == 0:
-            raise DomainError("grid function needs a non-empty 1-d value array")
-        if not np.all(np.isfinite(values)):
-            raise DomainError("grid function values must be finite")
-        self.values = values
+        self.values = as_grid_values(values)
 
     @property
     def resolution(self):
@@ -54,8 +50,7 @@ class GridFunction:
         x = midpoints(resolution)
         vals = np.zeros(resolution)
         for c, d in intervals:
-            if not (0.0 <= c < d <= 1.0):
-                raise DomainError(f"interval ({c}, {d}) not inside [0, 1]")
+            checked_interval(c, d)
             vals[(x > c) & (x < d)] = 1.0
         return cls(vals)
 
@@ -71,29 +66,38 @@ class GridFunction:
         return f"GridFunction(G={self.values.size}, dtype={self.values.dtype})"
 
 
-def as_grid_values(h, resolution=None):
-    """Coerce a GridFunction, array, callable or scalar to a value array."""
+def as_grid_values(h):
+    """The values of a profile: a GridFunction's, or a non-empty 1-d array of finite numbers.
+
+    Anything else (a callable, a scalar, NaN or inf) is a DomainError.
+    """
     if isinstance(h, GridFunction):
-        if resolution is not None and h.resolution != resolution:
-            raise ValueError(f"grid function has G={h.resolution}, expected {resolution}")
         return h.values
-    if callable(h):
-        if resolution is None:
-            raise ValueError("resolution required to sample a callable")
-        return np.asarray(h(midpoints(resolution)))
-    arr = np.asarray(h)
-    if arr.ndim == 0:
-        if resolution is None:
-            raise ValueError("resolution required to broadcast a scalar")
-        return np.full(resolution, float(arr))
-    if resolution is not None and arr.size != resolution:
-        raise ValueError(f"value array has size {arr.size}, expected {resolution}")
-    return arr
+    values = np.asarray(h)
+    if values.ndim != 1 or values.size == 0 or values.dtype.kind not in "biufc":
+        raise DomainError("a grid profile is a GridFunction or a non-empty 1-d array of numbers")
+    if not np.all(np.isfinite(values)):
+        raise DomainError("grid profile values must be finite")
+    return values
 
 
-def checked_weight(h, resolution=None):
+def checked_weight(h):
     """Weight profile values as floats, rejecting negative weights."""
-    h_vals = as_grid_values(h, resolution)
+    h_vals = as_grid_values(h)
     if np.any(h_vals < 0):
         raise DomainError("weight profile h must be nonnegative (h^(1/2) must exist)")
     return h_vals.astype(float)
+
+
+def checked_size(values, resolution):
+    """values, unless a resolution is given and is not their size (DomainError)."""
+    if resolution is not None and values.size != resolution:
+        raise DomainError(f"grid profile has G={values.size}, expected {resolution}")
+    return values
+
+
+def checked_interval(c, d):
+    """(c, d), unless 0 <= c < d <= 1 fails (DomainError)."""
+    if not 0.0 <= c < d <= 1.0:
+        raise DomainError(f"interval ({c}, {d}) not inside [0, 1]")
+    return c, d

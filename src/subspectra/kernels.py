@@ -13,9 +13,9 @@ Optional structure flags let consumers pick fast paths:
 * ``zero_beyond``  -- g_n vanishes identically for n greater than this.
 * ``max_order``    -- orders above this are not evaluable at all (None = any).
 * ``r0_form/f0_form`` -- closed forms ``form(a, root)`` of the gradient of the
-                      cumulant-generating functional (on a profile or a (k, G)
-                      stack; a row it cannot solve comes back as NaN) and of
-                      its value (on a profile), used by the fixed-point solver.
+                      cumulant-generating functional (on a value array or a
+                      (k, G) stack, unchecked; a row it cannot solve comes back
+                      as NaN) and of its value, used by the fixed-point solver.
                       ``root``, a complex array of shape a.shape[:-1], carries
                       a form's one hidden unknown per profile (the exclusion
                       process's w): seeds on entry (NaN: none), the roots found
@@ -23,11 +23,11 @@ Optional structure flags let consumers pick fast paths:
                       ignore it.
 
 Tensor quadrature (the solver's generic R0/F0 and the partition-sum oracle)
-reads kernel values off the grid through ``grid_tensor``, one bounded cache
-that both share: a kernel's order-n tensor on a G-cell grid is evaluated once
-while it stays among the three latest, and the cache pins at most
-3 * MAX_TENSOR_ELEMS floats (48 MiB).  The oracle's tensors with a pinned
-variable are built per call with ``kernel_tensor``.
+reads kernel values off h's own grid through ``grid_tensor``, one bounded
+cache that both share: a kernel's order-n tensor on a G-cell grid is
+evaluated once while it stays among the three latest, and the cache pins at
+most 3 * MAX_TENSOR_ELEMS floats (48 MiB).  The oracle's tensors with a
+pinned variable are built per call with ``kernel_tensor``.
 """
 
 import functools

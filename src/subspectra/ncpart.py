@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import InvalidPartitionError, SizeLimitError, UnsupportedOrderError
-from .grids import checked_weight, midpoints
+from .grids import checked_size, checked_weight, midpoints
 from .kernels import grid_tensor, kernel_tensor
 
 ENUM_MAX_N = 12
@@ -337,7 +337,7 @@ def _oracle_sum(kern, h_vals, n, x=None):
     return total
 
 
-def moment_oracle(kern, h, n, resolution=64):
+def moment_oracle(kern, h, n, resolution=None):
     """n-th trace moment of the h-weighted slice, by direct partition sum.
 
     Each non-crossing partition contributes a tensor-quadrature integral with
@@ -349,18 +349,19 @@ def moment_oracle(kern, h, n, resolution=64):
     shares; the call keeps at most two reshaped copies of the order-3 tensor
     (2 G^3 floats, 4 MiB at G = 64), freed when it returns.  Cost grows with
     the largest complement part, so keep the grid modest at high orders.
+    A resolution, when given, must be h's size.
     """
-    return _oracle_sum(kern, checked_weight(h, resolution), n)
+    return _oracle_sum(kern, checked_size(checked_weight(h), resolution), n)
 
 
-def marked_moment_oracle(kern, h, n, x, resolution=64):
+def marked_moment_oracle(kern, h, n, x):
     """Moment with the variable of the part containing 1 pinned to x.
 
     Integrating the result over x with the midpoint rule recovers
     moment_oracle.  The weight at the marked point is interpolated from the
     grid when x is off-grid.
     """
-    h_vals = checked_weight(h, resolution)
+    h_vals = checked_weight(h)
     if not 0.0 <= x <= 1.0:
         raise ValueError("marked point must lie in [0, 1]")
     return _oracle_sum(kern, h_vals, n, x)

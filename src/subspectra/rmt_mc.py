@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import DomainError, SizeLimitError, StabilityError
 from .freeprob import SpectralDensity
+from .grids import checked_interval
 
 HERMITICITY_TOL = 1e-12
 STABILITY_WINDOW = (-0.1, 1.1)  # a snapshot eigenvalue outside it aborts a run
@@ -126,13 +127,16 @@ class QssepConfig:
     def window(self, start=None):
         """(steps, start): the steps taken and the first one kept, by default t_stat's
         (None when unset); a SizeLimitError unless t_end / dt is at most MAX_STEPS, and
-        a DomainError unless a stride step falls in [start, steps)."""
+        a DomainError unless t_stat / dt is finite and a stride step falls in [start, steps)."""
         ratio, stride = self.t_end / self.dt, self.snapshot_stride
         if not ratio <= MAX_STEPS:  # also an infinite or NaN ratio
             raise SizeLimitError(f"t_end / dt = {ratio:g} steps, above the cap of {MAX_STEPS}")
         steps = int(round(ratio))
         if start is None and self.t_stat is not None:
-            start = int(round(self.t_stat / self.dt))
+            start = self.t_stat / self.dt
+            if not np.isfinite(start):
+                raise DomainError(f"t_stat / dt = {start:g} steps is not finite")
+            start = int(round(start))
         if start is not None and -(-max(start, 0) // stride) * stride >= steps:
             raise DomainError(f"no snapshot in the sampling window t in [{start * self.dt:g}, "
                               f"{self.t_end:g}) at a stride of {stride} steps")
@@ -290,9 +294,7 @@ def qssep_run(cfg):
 # ---------------------------------------------------------------------------
 
 def subblock_indices(n_dim, interval):
-    c, d = interval
-    if not (0.0 <= c < d <= 1.0):
-        raise DomainError(f"interval ({c}, {d}) not inside [0, 1]")
+    c, d = checked_interval(*interval)
     lo = max(int(np.ceil(c * n_dim)), 1)
     hi = int(np.floor(d * n_dim))
     if hi < lo:

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .freeprob import (MOMENTS, FormalSeries, SpectralDensity, checked_ladder,
                        density_from_resolvent)
-from .grids import as_grid_values, checked_weight
+from .grids import checked_size, checked_weight
 from .kernels import grid_tensor
 
 GENERIC_MAX_ORDER = 3
@@ -44,6 +44,7 @@ PREDICTOR_POINTS = 3  # density scans: converged points behind each quadratic pr
 CHUNK = 64  # density scans: lambda points per continuation column
 MOMENT_NODES = 24  # moment_series: circle nodes ...
 CIRCLE_FACTOR = 3.0  # ... on the circle of radius CIRCLE_FACTOR * spectral radius
+MOMENT_TOL = 1e-13  # moment_series: fixed-point tolerance at the circle nodes
 
 
 @dataclass
@@ -94,7 +95,7 @@ def _constant_orders(kern):
     return top
 
 
-def r0_apply(kern, a, resolution=None, root=None):
+def r0_apply(kern, a, root=None):
     """Apply the cumulant-functional gradient: b(x) = dF0/da(x).
 
     Dispatches to the kernel's closed form when available, to the power
@@ -105,9 +106,9 @@ def r0_apply(kern, a, resolution=None, root=None):
     (NaN: none, as when root is None), roots out, in place (see kernels).
     Tensor quadrature contracts the whole stack at once, one BLAS product
     per kernel order, so batched solves (density scans, the circle nodes of
-    moment_series) pay one call.
+    moment_series) pay one call.  a is used as given, unchecked.
     """
-    a = as_grid_values(a, resolution)
+    a = np.asarray(a)
     if kern.r0_form is not None:
         return kern.r0_form(a, _roots(a, root))
     if kern.constant:
@@ -153,9 +154,9 @@ def _generic_terms(kern, a):
     return terms
 
 
-def f0_value(kern, a, resolution=None, root=None):
+def f0_value(kern, a, root=None):
     """Value of the cumulant generating functional F0 at the profile a (root as in r0_apply)."""
-    a = as_grid_values(a, resolution)
+    a = np.asarray(a)
     if kern.f0_form is not None:
         return kern.f0_form(a, _roots(a, root))
     if kern.constant:
@@ -170,7 +171,7 @@ def f0_value(kern, a, resolution=None, root=None):
 # fixed point
 # ---------------------------------------------------------------------------
 
-def fixed_point_solve(kern, h, z, warm_start=None, tol=1e-10, resolution=None):
+def fixed_point_solve(kern, h, z, warm_start=None, tol=1e-10):
     """Solve the stationarity pair (a, b) at spectral parameter z.
 
     One column of the engine _solve_columns, from warm_start or cold.  The
@@ -178,7 +179,7 @@ def fixed_point_solve(kern, h, z, warm_start=None, tol=1e-10, resolution=None):
     column's BranchError, NoSolutionError or ConvergenceError (carrying the
     last residual) is raised.  Deterministic for fixed inputs and settings.
     """
-    h_vals = checked_weight(h, resolution)
+    h_vals = checked_weight(h)
     (state,), _ = _solve_columns(kern, h_vals, [complex(z)], [warm_start], tol)
     if not isinstance(state, FixedPointState):
         raise state
@@ -268,13 +269,14 @@ def _newton_krylov(apply_map, b0, z, root, tol, iterations_used=0):
         residual=res, iterations=iterations_used)
 
 
-def resolvent(kern, h, z, warm_start=None, **kwargs):
+def resolvent(kern, h, z, warm_start=None, tol=1e-10):
     """Trace resolvent of the weighted slice: grid mean of 1/(z - h b_z).
 
     Cells with h = 0 contribute exactly 1/z.
     """
-    state = fixed_point_solve(kern, h, z, warm_start=warm_start, **kwargs)
-    return resolvent_from_state(state, checked_weight(h, kwargs.get("resolution")))
+    h_vals = checked_weight(h)
+    state = fixed_point_solve(kern, h_vals, z, warm_start=warm_start, tol=tol)
+    return resolvent_from_state(state, h_vals)
 
 
 def resolvent_from_state(state, h_vals):
@@ -285,23 +287,23 @@ def resolvent_from_state(state, h_vals):
 # moment extraction
 # ---------------------------------------------------------------------------
 
-def estimate_radius(kern, h, resolution=None):
+def estimate_radius(kern, h):
     """Crude upper estimate of the slice spectral radius from one R0 sweep.
 
     Combines the first-order scale sup|h g_1| with a variance-type scale
     from the interaction part of R0 probed at a = h; the factor 2 reproduces
     the exact edge for position-free pair kernels.
     """
-    h_vals = checked_weight(h, resolution)
+    h_vals = checked_weight(h)
     b1 = np.real(np.asarray(r0_apply(kern, np.zeros(h_vals.size))))
     bh = np.asarray(r0_apply(kern, h_vals.astype(complex)), dtype=complex)
-    lin = float(np.max(np.abs(h_vals * b1))) if h_vals.size else 0.0
+    lin = float(np.max(np.abs(h_vals * b1)))
     inter = float(np.max(np.abs(bh - b1)))
-    sup_h = float(np.max(h_vals)) if h_vals.size else 0.0
+    sup_h = float(np.max(h_vals))
     return 1.5 * (lin + 2.0 * math.sqrt(max(sup_h * inter, 0.0))) + 0.1
 
 
-def moment_series(kern, h, n_max, resolution=64, radius=None, tol=1e-13):
+def moment_series(kern, h, n_max, resolution=None, radius=None):
     """Trace moments of the weighted slice from the large-|z| resolvent.
 
     Samples z G(z) = sum phi_n u^n, u = 1/z, at the equispaced nodes
@@ -314,18 +316,18 @@ def moment_series(kern, h, n_max, resolution=64, radius=None, tol=1e-13):
     node that does not converge raises ConvergenceError naming its z.
     Results match the partition-sum oracle on the same grid.  The
     normalization coefficient is checked and a conditioning error raised if
-    the extraction degraded.
+    the extraction degraded.  A resolution, when given, must be h's size.
     """
     if not 1 <= n_max <= 8:
         raise SizeLimitError(f"n_max must be in 1..8, got {n_max}")
-    h_vals = checked_weight(h, resolution)
+    h_vals = checked_size(checked_weight(h), resolution)
     if radius is None:
         radius = estimate_radius(kern, h_vals)
     nodes = MOMENT_NODES
     big_r = CIRCLE_FACTOR * max(radius, 1e-6)
     u = np.exp(2j * np.pi * np.arange(nodes) / nodes) / big_r
     zs = 1.0 / u
-    states, _ = _solve_columns(kern, h_vals, zs, [None] * nodes, tol)
+    states, _ = _solve_columns(kern, h_vals, zs, [None] * nodes, MOMENT_TOL)
     failed = [complex(z) for z, st in zip(zs, states) if not isinstance(st, FixedPointState)]
     if failed:
         raise ConvergenceError(
@@ -553,7 +555,7 @@ def _scan_columns(kern, h_vals, z, tol, solver):
     return g
 
 
-def spectral_density(kern, h, lam_grid, eps=1e-3, eps_ladder=None, resolution=None, tol=1e-10):
+def spectral_density(kern, h, lam_grid, eps=1e-3, eps_ladder=None, tol=1e-10):
     """Spectral density of the weighted slice along a real grid.
 
     Scans z = lambda + i*eps by predictor-corrector continuation inside
@@ -577,7 +579,7 @@ def spectral_density(kern, h, lam_grid, eps=1e-3, eps_ladder=None, resolution=No
     (predictor_rejected).  A bad eps or ladder raises DomainError; isolated
     convergence failures are marked as gaps, not fatal.
     """
-    h_vals = checked_weight(h, resolution)
+    h_vals = checked_weight(h)
     lam_grid = np.asarray(lam_grid, dtype=float)
     ell = float(np.mean(h_vals > 0))
     solver = {"iterations": np.zeros(lam_grid.size, dtype=int), "fallbacks": 0, "predicted": 0,
@@ -599,25 +601,25 @@ def spectral_density(kern, h, lam_grid, eps=1e-3, eps_ladder=None, resolution=No
 # variational structure
 # ---------------------------------------------------------------------------
 
-def grand_potential(kern, h, z, warm_start=None, **kwargs):
+def grand_potential(kern, h, z, warm_start=None, tol=1e-10):
     """Stationary value of the generating functional at z.
 
     Evaluates integral[log(z - h b) + a b] - F0[a] at the fixed point; its
     numerical z-derivative equals the resolvent.  For h identically zero
     this is log z exactly.
     """
-    h_vals = checked_weight(h, kwargs.get("resolution"))
-    state = fixed_point_solve(kern, h_vals, z, warm_start=warm_start, **kwargs)
+    h_vals = checked_weight(h)
+    state = fixed_point_solve(kern, h_vals, z, warm_start=warm_start, tol=tol)
     bracket = np.mean(np.log(state.z - h_vals * state.b) + state.a * state.b)
     return complex(bracket - f0_value(kern, state.a, root=np.array(state.root)))
 
 
-def functional_derivative_check(kern, h, z, x_index, delta=1e-4, **kwargs):
+def functional_derivative_check(kern, h, z, x_index, delta=1e-4, tol=1e-10):
     """Compare -h(x) dF/dh(x) (central differences) against a(x) b(x).
 
     Returns the pair (lhs, rhs); they agree at a converged stationary point.
     """
-    h_vals = checked_weight(h, kwargs.get("resolution"))
+    h_vals = checked_weight(h)
     G = h_vals.size
     if not 0 <= x_index < G:
         raise DomainError(f"x_index {x_index} outside grid of size {G}")
@@ -628,9 +630,9 @@ def functional_derivative_check(kern, h, z, x_index, delta=1e-4, **kwargs):
     h_minus = h_vals.copy()
     h_plus[x_index] += step
     h_minus[x_index] -= step
-    f_plus = grand_potential(kern, h_plus, z, **kwargs)
-    f_minus = grand_potential(kern, h_minus, z, **kwargs)
+    f_plus = grand_potential(kern, h_plus, z, tol=tol)
+    f_minus = grand_potential(kern, h_minus, z, tol=tol)
     lhs = -h_vals[x_index] * (f_plus - f_minus) * G / (2.0 * step)
-    state = fixed_point_solve(kern, h_vals, z, **kwargs)
+    state = fixed_point_solve(kern, h_vals, z, tol=tol)
     rhs = complex(state.a[x_index] * state.b[x_index])
     return lhs, rhs

@@ -124,7 +124,7 @@ def test_c02_wigner_semicircle():
 
 def test_c03_inhomogeneous_wigner():
     prof = GridFunction.from_callable(lambda x: np.sqrt(1 + x / 2), 400)
-    kern = inhomogeneous_wigner_kernel(prof, 400)
+    kern = inhomogeneous_wigner_kernel(prof)
     lam = np.linspace(-2.6, 2.6, 401)
     dens = spectral_density(kern, GridFunction.constant(1.0, 400), lam, eps=1e-3)
     want = inhomogeneous_wigner_density(prof, lam)

@@ -431,6 +431,7 @@ QSSEP_SPECTRUM = {"ensemble": "qssep", "h": {"type": "intervals", "intervals": [
                   "lambda_grid": {"min": 0.05, "max": 0.95, "count": 5}}
 HAAR_SPECTRUM = dict(QSSEP_SPECTRUM, ensemble="haar",
                      params={"atoms": [[0.0, 0.5], [1.0, 0.5]], "order": 4})
+HAAR_ORACLE = {"ensemble": "haar", "h": {"type": "named", "name": "full"}, "grid": 8, "n_max": 2}
 SHORT_MC = {"n_sites": 10, "dt": 0.1, "t_end": 2.0, "t_stat": 1.0, "snapshot_stride": 2,
             "interval": [0.4, 0.7], "bins": 6}
 
@@ -469,17 +470,27 @@ def _sim(**mc):
     ("spectrum", dict(QSSEP_SPECTRUM, grid=-1), 4),
     ("simulate", _sim(dt=1e-300, t_end=1e10), 4),
     ("simulate", _sim(dt=1e-6, t_end=1e6), 4),
+    ("simulate", {"ensemble": "haar", "params": {"atoms": [[0.0, math.nan], [1.0, 0.5]]},
+                  "mc": {"n_dim": 8, "samples": 1}}, 4),
+    ("spectrum", dict(HAAR_SPECTRUM, params={"atoms": [[math.inf, 0.5], [1.0, 0.5]]}), 4),
+    ("spectrum", dict(HAAR_SPECTRUM, params={"atoms": [[math.nan, 0.5], [1.0, 0.5]]}), 4),
+    ("oracle", dict(HAAR_ORACLE, params={"atoms": [[math.inf, 0.5], [1.0, 0.5]]}), 4),
+    ("oracle", dict(HAAR_ORACLE, params={"atoms": [[math.nan, 0.5], [1.0, 0.5]]}), 4),
+    ("simulate", _sim(dt=1e-5, t_stat=-1e308), 4),
 ], ids=["count-negative", "count-zero", "interval-short", "interval-string", "interval-bool",
         "interval-long", "h-zero", "order-zero", "order-negative", "files-null", "files-int",
         "reference-int", "rates-string", "rates-null", "rates-bool", "rates-long",
         "stride-zero", "stride-negative", "bins-zero", "bins-negative", "t_end-nan", "dt-inf",
         "seed-negative", "atom-location-inf", "rates-nan", "grid-negative", "steps-overflow",
-        "steps-above-cap"])
+        "steps-above-cap", "atom-weight-nan", "spectrum-atom-location-inf",
+        "spectrum-atom-location-nan", "oracle-atom-location-inf", "oracle-atom-location-nan",
+        "t_stat-overflow"])
 def test_configs_that_crashed_exit_2_or_4_before_any_work(tmp_path, monkeypatch,
                                                            command, cfg, code):
     # each of these used to end in a traceback (exit 1), some after stepping a trajectory,
     # or to run on a misread value: a boolean as 0 or 1, a list cut to its first entries,
-    # a negative stride as its absolute value; a step count t_end / dt past the cap
+    # a negative stride as its absolute value; a step count t_end / dt past the cap;
+    # a NaN atom weight (exit 0) or a non-finite atom location (exit 5 after warnings)
     monkeypatch.setattr(rmt_mc, "qssep_run", lambda cfg: pytest.fail("stepped"))
     out = tmp_path / "x"
     assert cli.main([command, "--config", write_cfg(tmp_path, "x.json", cfg),

@@ -93,9 +93,8 @@ def test_qssep_third_order_against_independent_recursion():
 
 
 def test_qssep_order_limit():
-    from subspectra.errors import SizeLimitError
-    with pytest.raises(SizeLimitError):
-        qssep_kernel().fn(9, tuple([0.5] * 9))
+    with pytest.raises(UnsupportedOrderError):
+        qssep_kernel().eval(9, *[0.5] * 9)
 
 
 def test_qssep_f0_zero_profile():
@@ -525,7 +524,7 @@ def test_inhomogeneous_vanishes_beyond_support():
 
 def test_inhomogeneous_kernel_matches_formula():
     prof = GridFunction.from_callable(lambda x: np.sqrt(1 + x / 2), 300)
-    kern = inhomogeneous_wigner_kernel(prof, 300)
+    kern = inhomogeneous_wigner_kernel(prof)
     lam = np.linspace(-2.6, 2.6, 261)
     dens = sv.spectral_density(kern, GridFunction.constant(1.0, 300), lam, eps=1e-3)
     want = inhomogeneous_wigner_density(prof, lam)
@@ -625,18 +624,19 @@ def test_diagnostic_degenerate_weight():
 
 
 def test_profile_resolution_rule():
-    # a GridFunction or array keeps its own size; a callable or scalar needs resolution
+    # a profile carries its own grid: a GridFunction or an array keeps its own size,
+    # and a callable or a scalar is refused
     from subspectra import constant_kernel
     s = GridFunction.from_callable(lambda x: np.sqrt(1 + x / 2), 24)
     np.testing.assert_array_equal(inhomogeneous_wigner_kernel(s.values).r0_form(np.ones(24), None),
                                   s.values ** 2)
-    assert inhomogeneous_wigner_density(1.0, 0.0, resolution=8) == pytest.approx(1 / np.pi)
-    assert qssep_f0(0.0, resolution=8) == 0.0
+    assert inhomogeneous_wigner_density(np.ones(8), 0.0) == pytest.approx(1 / np.pi)
+    assert qssep_f0(np.zeros(8)) == 0.0
     for call in (lambda: inhomogeneous_wigner_kernel(lambda x: 1 + x),
                  lambda: inhomogeneous_wigner_density(1.0, 0.0),
                  lambda: qssep_f0(0.1),
                  lambda: nonfreeness_diagnostic(qssep_kernel(), lambda x: 1 + x)):
-        with pytest.raises(ValueError, match="resolution required"):
+        with pytest.raises(DomainError, match="GridFunction or a non-empty 1-d array"):
             call()
     with pytest.raises(DomainError, match="nonnegative"):
         nonfreeness_diagnostic(constant_kernel([0.7, 0.3]), np.linspace(-0.5, 1.0, 16))

@@ -3,7 +3,7 @@ import pytest
 
 from subspectra import GridFunction, constant_kernel
 from subspectra.errors import UnsupportedOrderError
-from subspectra.grids import as_grid_values, midpoints
+from subspectra.grids import checked_size, midpoints
 
 
 def test_midpoint_integration_is_mean():
@@ -36,7 +36,7 @@ def test_grid_function_validation():
     with pytest.raises(ValueError):
         GridFunction.indicator([(0.5, 0.2)], 16)
     with pytest.raises(ValueError):
-        as_grid_values(GridFunction.constant(1.0, 8), 16)
+        checked_size(GridFunction.constant(1.0, 8).values, 16)
 
 
 def test_midpoints_layout():

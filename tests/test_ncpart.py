@@ -120,7 +120,7 @@ def test_cached_part_tree_leaves_oracle_bitwise_unchanged(h_profiles_64, monkeyp
     kernels = [wigner_kernel(1.0), haar_kernel(bernoulli_cumulants()), smooth_kernel(0)]
 
     def values():
-        return [float(f(kern, h, n, *x, 64)).hex()
+        return [float(f(kern, h, n, *x)).hex()
                 for kern in kernels for h in h_profiles_64.values() for n in range(1, 7)
                 for f, x in ((moment_oracle, ()), (marked_moment_oracle, (0.3,)))]
 
@@ -230,7 +230,7 @@ def test_oracle_bitwise_equals_reference(data):
     x = data.draw(st.one_of(st.none(), st.floats(0.0, 1.0)))
     for n in range(1, 7):
         got = (moment_oracle(kern, h, n, G) if x is None
-               else marked_moment_oracle(kern, h, n, x, G))
+               else marked_moment_oracle(kern, h, n, x))
         assert float(got).hex() == float(_reference_oracle(kern, h, n, x)).hex(), n
 
 
@@ -295,7 +295,7 @@ def test_marked_oracle_pins_and_integrates():
     h = GridFunction.from_callable(lambda x: 0.5 + x / 4, G)
     grid = midpoints(G)
     for n in range(1, 5):
-        total = np.mean([marked_moment_oracle(kern, h, n, x, G) for x in grid])
+        total = np.mean([marked_moment_oracle(kern, h, n, x) for x in grid])
         assert abs(total - moment_oracle(kern, h, n, G)) < 1e-12
 
 
@@ -317,7 +317,7 @@ def test_oracle_evaluates_each_tensor_once_per_call():
     counted = LocalCumulantKernel(name="counted", fn=fn, zero_beyond=3)
     h = GridFunction.from_callable(lambda x: 0.5 + x / 4, G)
     want = [moment_oracle(base, h, n, G) for n in range(1, 7)]
-    want_marked = marked_moment_oracle(base, h, 6, 0.3, G)
+    want_marked = marked_moment_oracle(base, h, 6, 0.3)
     kernels.grid_tensor.cache_clear()
     # the solver and the oracle share the grid tensors: one evaluation per order
     phis = moment_series(counted, h, 6, resolution=G).asarray()
@@ -326,7 +326,7 @@ def test_oracle_evaluates_each_tensor_once_per_call():
     assert values == want and rel_close(phis, values)
     gc.disable()
     try:
-        marked = marked_moment_oracle(counted, h, 6, 0.3, G)
+        marked = marked_moment_oracle(counted, h, 6, 0.3)
         # the per-call memo (messages, layouts, pinned-root tensors) is freed
         # without a gc pass: the pinned-root tensors are held by it alone
         assert pinned and all(ref() is None for ref in outputs)
@@ -363,7 +363,7 @@ def test_marked_first_order_value():
     g1x = LocalCumulantKernel(name="g1x", fn=lambda n, xs: np.broadcast_arrays(*xs)[0] * 1.0,
                               zero_beyond=1)
     h1 = GridFunction.constant(1.0, 32)
-    assert abs(marked_moment_oracle(g1x, h1, 1, 0.3, 32) - 0.3) < 1e-14
+    assert abs(marked_moment_oracle(g1x, h1, 1, 0.3) - 0.3) < 1e-14
     assert abs(moment_oracle(g1x, h1, 1, 32) - 0.5) < 1e-14
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from subspectra import (
     GridFunction,
     QssepBlockSpec,
+    constant_kernel,
     fixed_point_solve,
     free_cumulants,
     grand_potential,
@@ -460,8 +461,7 @@ def test_newton_krylov_finishes_stalled_columns(monkeypatch):
     # bulk points of the variance-profile scan stall the relaxation; Newton-Krylov
     # finishes them from each column's best iterate
     G = 64
-    kern = inhomogeneous_wigner_kernel(GridFunction.from_callable(lambda x: np.sqrt(1 + x / 2), G),
-                                       resolution=G)
+    kern = inhomogeneous_wigner_kernel(GridFunction.from_callable(lambda x: np.sqrt(1 + x / 2), G))
     h, lam = GridFunction.constant(1.0, G), np.linspace(-2.6, 2.6, 41)
     solved, engine = [], sv._solve_columns
 
@@ -541,7 +541,7 @@ def test_resolvent_herglotz_and_residual(G, re_z, im_z, lower, family, seed):
     h = rng.uniform(0.0, 1.5, size=G) * (rng.random(G) < 0.8)
     kern = {"wigner": lambda: wigner_kernel(1.0), "qssep": qssep_kernel,
             "inhomogeneous": lambda: inhomogeneous_wigner_kernel(
-                GridFunction(rng.uniform(0.5, 1.5, size=G)), resolution=G)}[family]()
+                GridFunction(rng.uniform(0.5, 1.5, size=G)))}[family]()
     z = complex(re_z, -im_z if lower else im_z)
     try:
         state = fixed_point_solve(kern, h, z)
@@ -569,8 +569,7 @@ def test_stacked_r0_matches_rows(a):
     G = a.shape[1]
     kernels = [qssep_kernel(), wigner_kernel(1.3),
                haar_kernel(free_cumulants([0.5, 0.25, 0.0, -0.125])),
-               inhomogeneous_wigner_kernel(GridFunction.from_callable(lambda x: 1 + x / 2, G),
-                                           resolution=G),
+               inhomogeneous_wigner_kernel(GridFunction.from_callable(lambda x: 1 + x / 2, G)),
                LocalCumulantKernel(name="smooth-pair", fn=smooth_kernel(1).fn, zero_beyond=2),
                smooth_kernel(0)]
     for kern in kernels:
@@ -620,6 +619,33 @@ def test_functional_derivative_requires_positive_weight():
 def test_weight_must_be_nonnegative():
     with pytest.raises(DomainError):
         fixed_point_solve(wigner_kernel(1.0), np.array([-1.0] * 8), 3.0)
+
+
+@settings(max_examples=12, deadline=None)
+@given(G=st.integers(8, 96), seed=st.integers(0, 2 ** 32 - 1))
+@example(G=32, seed=0)
+def test_profiles_carry_their_own_grid(G, seed):
+    """A GridFunction and its values give bitwise the same results at any G, no size passed."""
+    rng = np.random.default_rng(seed)
+    h = GridFunction(np.where(midpoints(G) < 0.25, 0.0, rng.uniform(0.2, 1.5, size=G)))
+    kern = constant_kernel([0.3, 1.0, 0.2])
+    lam = np.linspace(-2.0, 3.0, 9)
+    got = [(moment_series(kern, prof, 4).coeffs,
+            [moment_oracle(kern, prof, n) for n in range(1, 5)],
+            spectral_density(kern, prof, lam).rho) for prof in (h, h.values)]
+    assert got[0][:2] == got[1][:2]
+    np.testing.assert_array_equal(got[0][2], got[1][2])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_weights_are_refused(bad):
+    h = np.ones(16)
+    h[5] = bad
+    kern = wigner_kernel(1.0)
+    for call in (lambda: moment_series(kern, h, 2), lambda: moment_oracle(kern, h, 2),
+                 lambda: spectral_density(kern, h, [0.0, 1.0])):
+        with pytest.raises(DomainError, match="finite"):
+            call()
 
 
 def test_residual_tolerance_contract():
